@@ -20,7 +20,7 @@ from .errors import (
     TooFewCopies,
 )
 from .qstate import RandomSource
-from .watermark import ObservedMessage, VerificationReport, WatermarkSecret, verify
+from .watermark import ObservedMessage, VerificationReport, WatermarkSecret, _flip_bits, verify
 
 __all__ = [
     "AveragingResult",
@@ -100,13 +100,8 @@ def noise_attack(message: ObservedMessage, flip_rate: float, rng: RandomSource) 
     """
     if not 0.0 <= flip_rate <= 1.0:
         raise InvalidProbability(f"flip rate must be in [0, 1], got {flip_rate}")
-    out = []
-    for bit in message.bits:
-        if rng.draw() < flip_rate:
-            out.append("0" if bit == "1" else "1")
-        else:
-            out.append(bit)
-    return ObservedMessage(bits="".join(out), observation_basis=message.observation_basis)
+    bits = _flip_bits(message.bits, range(len(message)), flip_rate, rng)
+    return ObservedMessage(bits=bits, observation_basis=message.observation_basis)
 
 
 def shift_attack(message: ObservedMessage, offset: int, pad_bit: int) -> ObservedMessage:

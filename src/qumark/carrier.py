@@ -40,14 +40,18 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 def bytes_to_bits(data: bytes) -> str:
     """Big-endian bit expansion: 0xA5 -> '10100101'."""
-    return "".join(f"{byte:08b}" for byte in data)
+    # base-2 conversions of int run in linear time, unlike decimal ones
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
 
 
 def bits_to_bytes(bits: str) -> bytes:
     """Inverse of bytes_to_bits; the length must be a whole number of bytes."""
     if len(bits) % 8:
         raise ValueError(f"bit length {len(bits)} is not a multiple of 8")
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+    # int(_, 2) would also accept a 0b prefix, underscores and whitespace
+    if bits.encode("ascii", "replace").translate(None, b"01"):
+        raise ValueError("bits may contain only '0' and '1'")
+    return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
 
 @dataclass(frozen=True)

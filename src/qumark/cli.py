@@ -4,9 +4,9 @@ Subcommands cover the whole life cycle: keygen derives a secret, embed marks
 a payload, observe measures a qubit message back to classical bits, verify
 renders a verdict, attack runs the adversary toolkit, analyze plans index
 set sizes. Exit status is 0 for success or an accept verdict, 1 for a
-reject verdict, and 2 for usage, format, or consistency errors. Randomized
-subcommands take --seed, falling back to the QUMARK_SEED environment
-variable, then to system entropy.
+reject verdict, and 2 for usage, format, or consistency errors and for any
+other failure. Randomized subcommands take --seed, falling back to the
+QUMARK_SEED environment variable, then to system entropy.
 """
 
 from __future__ import annotations
@@ -345,6 +345,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (QumarkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means reject, so no failure may exit with it
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,6 +14,7 @@ import base64
 import binascii
 import json
 
+from .carrier import bits_to_bytes, bytes_to_bits
 from .errors import MalformedFile, UnsupportedVersion
 from .qstate import Basis, RebitState
 from .watermark import ObservedMessage, QuantumMessage, WatermarkSecret
@@ -35,8 +36,11 @@ MESSAGE_FORMAT_VERSION = 1
 OBSERVATION_FORMAT_VERSION = 1
 
 
-def _format_angle(value: float) -> str:
-    return f"{value:.6f}"
+def _format_angle(value: float, period: float) -> str:
+    text = f"{value:.6f}"
+    # angles just below the period round up to it, which _parse_angle
+    # rejects; the period names the same angle as 0
+    return f"{0.0:.6f}" if text == f"{period:.6f}" else text
 
 
 def _parse_angle(value: object, field: str, period: float) -> float:
@@ -60,10 +64,13 @@ def _load(text: str | bytes, expected_version: int, kind: str) -> dict:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{kind} file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedFile(f"{kind} file nests too deeply to parse") from None
     if not isinstance(document, dict):
         raise MalformedFile(f"{kind} file must hold a JSON object")
     version = document.get("version")
-    if version != expected_version:
+    # type() rather than ==, which would let true and 1.0 pass for 1
+    if type(version) is not int or version != expected_version:
         raise UnsupportedVersion(
             f"{kind} file has version {version!r}, this build reads version {expected_version}"
         )
@@ -89,7 +96,7 @@ def dump_secret(secret: WatermarkSecret, expected_pe: float) -> str:
         {
             "version": SECRET_FORMAT_VERSION,
             "indices": list(secret.indices),
-            "mark_basis_theta": _format_angle(secret.mark_basis.theta),
+            "mark_basis_theta": _format_angle(secret.mark_basis.theta, 90.0),
             "key": key_field,
             "expected_pe": expected_pe,
         }
@@ -99,7 +106,7 @@ def dump_secret(secret: WatermarkSecret, expected_pe: float) -> str:
 def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
     document = _load(text, SECRET_FORMAT_VERSION, "secret")
     indices = _field(document, "indices", "secret")
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
+    if not isinstance(indices, list) or not set(map(type, indices)) <= {int}:
         raise MalformedFile("secret indices must be a list of integers")
     theta = _parse_angle(_field(document, "mark_basis_theta", "secret"), "mark_basis_theta", 90.0)
     key_field = _field(document, "key", "secret")
@@ -122,12 +129,15 @@ def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
 
 
 def dump_quantum_message(message: QuantumMessage) -> str:
-    return _dump(
-        {
-            "version": MESSAGE_FORMAT_VERSION,
-            "writing_basis_theta": _format_angle(message.writing_basis.theta),
-            "states": [_format_angle(state.phi) for state in message.states],
-        }
+    # _dump of the whole document, byte for byte, with each palette entry
+    # encoded once and the states block joined by hand
+    lines = [f"    {json.dumps(_format_angle(state.phi, 180.0))}" for state in message.palette]
+    states = ",\n".join(map(lines.__getitem__, message.codes))
+    theta = json.dumps(_format_angle(message.writing_basis.theta, 90.0))
+    return (
+        f'{{\n  "states": [\n{states}\n  ],\n'
+        f'  "version": {MESSAGE_FORMAT_VERSION},\n'
+        f'  "writing_basis_theta": {theta}\n}}\n'
     )
 
 
@@ -139,35 +149,30 @@ def load_quantum_message(text: str | bytes) -> QuantumMessage:
     states = _field(document, "states", "message")
     if not isinstance(states, list):
         raise MalformedFile("message states must be a list")
-    parsed = tuple(RebitState(_parse_angle(phi, "state phi", 180.0)) for phi in states)
     try:
-        return QuantumMessage(states=parsed, writing_basis=Basis(theta))
+        code_of = dict.fromkeys(states)
+    except TypeError:
+        raise MalformedFile("state phi must be a fixed-point string") from None
+    # each distinct string is parsed once; strings naming one angle share a code
+    palette: dict[float, int] = {}
+    for text in code_of:
+        phi = RebitState(_parse_angle(text, "state phi", 180.0)).phi
+        code_of[text] = palette.setdefault(phi, len(palette))
+    try:
+        return QuantumMessage.from_palette(
+            map(RebitState, palette), map(code_of.__getitem__, states), Basis(theta)
+        )
     except ValueError as exc:
         raise MalformedFile(f"message file holds an invalid message: {exc}") from None
 
 
-def _pack_bits(bits: str) -> bytes:
-    padded = bits + "0" * (-len(bits) % 8)
-    return bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))
-
-
-def _unpack_bits(data: bytes, bit_length: int) -> str:
-    if not bit_length <= 8 * len(data) < bit_length + 8:
-        raise MalformedFile(
-            f"bit length {bit_length} inconsistent with a {len(data)}-byte payload"
-        )
-    bits = "".join(f"{byte:08b}" for byte in data)
-    if "1" in bits[bit_length:]:
-        raise MalformedFile("observation padding bits must be zero")
-    return bits[:bit_length]
-
-
 def dump_observation(observation: ObservedMessage) -> str:
-    packed = _pack_bits(observation.bits)
+    bits = observation.bits
+    packed = bits_to_bytes(bits + "0" * (-len(bits) % 8))
     return _dump(
         {
             "version": OBSERVATION_FORMAT_VERSION,
-            "observation_basis_theta": _format_angle(observation.observation_basis.theta),
+            "observation_basis_theta": _format_angle(observation.observation_basis.theta, 90.0),
             "bit_length": len(observation.bits),
             "bits": base64.b64encode(packed).decode("ascii"),
         }
@@ -191,7 +196,14 @@ def load_observation(text: str | bytes) -> ObservedMessage:
         packed = base64.b64decode(encoded, validate=True)
     except (binascii.Error, ValueError):
         raise MalformedFile("observation bits are not valid base64") from None
-    bits = _unpack_bits(packed, bit_length)
+    if not bit_length <= 8 * len(packed) < bit_length + 8:
+        raise MalformedFile(
+            f"bit length {bit_length} inconsistent with a {len(packed)}-byte payload"
+        )
+    bits = bytes_to_bits(packed)
+    if "1" in bits[bit_length:]:
+        raise MalformedFile("observation padding bits must be zero")
+    bits = bits[:bit_length]
     try:
         return ObservedMessage(bits=bits, observation_basis=Basis(theta))
     except ValueError as exc:

@@ -12,8 +12,9 @@ secret positions matches the expected rate.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, MutableSequence, Sequence
 
 from . import stats
 from .errors import (
@@ -31,7 +32,7 @@ from .qstate import (
     RebitState,
     encode_bit,
     expected_error_probability,
-    measure,
+    outcome_probability,
 )
 
 __all__ = [
@@ -67,7 +68,7 @@ def _check_bitstring(bits: str) -> str:
         raise TypeError(f"bits must be a str of '0'/'1', got {type(bits).__name__}")
     if not bits:
         raise EmptyMessage("message bits must be nonempty")
-    if set(bits) - {"0", "1"}:
+    if bits.encode("ascii", "replace").translate(None, b"01"):
         raise ValueError("bits may contain only '0' and '1'")
     return bits
 
@@ -80,20 +81,96 @@ def _check_indices(indices: Sequence[int], length: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class QuantumMessage:
-    """Ordered rebit states plus the basis the unmarked positions are written in."""
+def _flip_kernel(
+    codes: MutableSequence[int],
+    positions: Iterable[int],
+    threshold: Sequence[float] | Mapping[int, float],
+    below: Sequence[int] | Mapping[int, int],
+    above: Sequence[int] | Mapping[int, int],
+    rng: RandomSource,
+) -> None:
+    """Redraw codes[i] for each i in positions, in place.
 
-    states: tuple[RebitState, ...]
+    With c = codes[i], the new code is below[c] when rng.draw() < threshold[c]
+    and above[c] otherwise. Exactly one draw is made per position, in the
+    order positions gives, through the source's own draw method. Every
+    seeded transcript of the package rests on that contract.
+    """
+    draw = rng.draw
+    for i in positions:
+        c = codes[i]
+        codes[i] = below[c] if draw() < threshold[c] else above[c]
+
+
+# '0' and '1' as ASCII codes, the code tables that keep or flip them, and
+# the map from ASCII bits to the codes of a two-entry palette
+_ZERO, _ONE = b"01"
+_BITS_TO_CODES = bytes.maketrans(b"01", b"\x00\x01")
+_KEEP = {_ZERO: _ZERO, _ONE: _ONE}
+_FLIP = {_ZERO: _ONE, _ONE: _ZERO}
+
+
+def _flip_bits(bits: str, positions: Iterable[int], rate: float, rng: RandomSource) -> str:
+    """Flip bits[i] for each i in positions with probability rate: draw < rate flips."""
+    codes = list(bits.encode("ascii"))
+    _flip_kernel(codes, positions, {_ZERO: rate, _ONE: rate}, _FLIP, _KEEP, rng)
+    return bytes(codes).decode("ascii")
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class QuantumMessage:
+    """Ordered rebit states plus the basis the unmarked positions are written in.
+
+    Each distinct state is stored once in palette, and each position holds
+    the palette code of its state: bytes while the palette has at most 256
+    entries, array('I') above that. states expands the codes into one
+    RebitState per position. Equality compares position by position with
+    the states' own angle tolerance, whatever the two palettes look like.
+    """
+
+    palette: tuple[RebitState, ...]
+    codes: bytes | array
     writing_basis: Basis
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        if not self.states:
+    def __init__(self, states: Iterable[RebitState], writing_basis: Basis) -> None:
+        code_of: dict[float, int] = {}
+        codes = [code_of.setdefault(state.phi, len(code_of)) for state in states]
+        self._set(tuple(map(RebitState, code_of)), codes, writing_basis)
+
+    @classmethod
+    def from_palette(
+        cls, palette: Iterable[RebitState], codes: Iterable[int], writing_basis: Basis
+    ) -> "QuantumMessage":
+        """Build a message from a palette of states and one palette code per position."""
+        message = cls.__new__(cls)
+        message._set(tuple(palette), codes, writing_basis)
+        return message
+
+    def _set(self, palette: tuple, codes: Iterable[int], writing_basis: Basis) -> None:
+        codes = bytes(codes) if len(palette) <= 256 else array("I", codes)
+        if not codes:
             raise EmptyMessage("a quantum message needs at least one qubit")
+        if max(codes) >= len(palette):
+            raise IndexOutOfRange(f"palette codes must lie in [0, {len(palette)})")
+        object.__setattr__(self, "palette", palette)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "writing_basis", writing_basis)
+
+    @property
+    def states(self) -> tuple[RebitState, ...]:
+        return tuple(map(self.palette.__getitem__, self.codes))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.codes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuantumMessage):
+            return NotImplemented
+        if len(self) != len(other) or self.writing_basis != other.writing_basis:
+            return False
+        return all(
+            self.palette[a] == other.palette[b] for a, b in set(zip(self.codes, other.codes))
+        )
 
 
 @dataclass(frozen=True)
@@ -152,8 +229,9 @@ class VerificationReport:
 def build_message(bits: str, basis: Basis) -> QuantumMessage:
     """Encode classical bits as eigenstates of basis, one qubit per bit."""
     _check_bitstring(bits)
-    states = tuple(encode_bit(int(b), basis) for b in bits)
-    return QuantumMessage(states=states, writing_basis=basis)
+    palette = (encode_bit(0, basis), encode_bit(1, basis))
+    codes = bits.encode("ascii").translate(_BITS_TO_CODES)
+    return QuantumMessage.from_palette(palette, codes, basis)
 
 
 def embed(
@@ -183,10 +261,7 @@ def embed(
             stacklevel=2,
         )
     if strict:
-        needed = max(
-            stats.min_sample_size_literal(pe).n,
-            stats.recommended_sample_size(pe, 0.0, confidence=0.99, power=0.99),
-        )
+        needed = stats.recommended_sample_size(pe, 0.0, confidence=0.99, power=0.99)
         if len(secret.indices) < needed:
             raise SampleTooSmall(
                 f"{len(secret.indices)} marked positions, strict embedding needs {needed}"
@@ -198,17 +273,31 @@ def embed(
             SmallSampleWarning,
             stacklevel=2,
         )
-    states = list(message.states)
-    for i in secret.indices:
-        observed = measure(states[i], message.writing_basis, rng)
-        states[i] = encode_bit(observed, secret.mark_basis)
-    return QuantumMessage(states=tuple(states), writing_basis=message.writing_basis)
+    # a measured qubit reads 0 with P(read 0) and is then rewritten as the
+    # marking basis's eigenstate of what it read
+    palette = list(message.palette)
+    phis = [s.phi for s in palette]
+    marked = []
+    for bit in (0, 1):
+        state = encode_bit(bit, secret.mark_basis)
+        if state.phi not in phis:
+            phis.append(state.phi)
+            palette.append(state)
+        marked.append(phis.index(state.phi))
+    size = len(message.palette)
+    read0 = [outcome_probability(s, message.writing_basis, 0) for s in message.palette]
+    codes = list(message.codes)
+    _flip_kernel(codes, secret.indices, read0, [marked[0]] * size, [marked[1]] * size, rng)
+    return QuantumMessage.from_palette(palette, codes, message.writing_basis)
 
 
 def observe(message: QuantumMessage, basis: Basis, rng: RandomSource) -> ObservedMessage:
     """Measure every qubit in basis, consuming one draw per position in order."""
-    bits = "".join("1" if measure(state, basis, rng) else "0" for state in message.states)
-    return ObservedMessage(bits=bits, observation_basis=basis)
+    size = len(message.palette)
+    read0 = [outcome_probability(s, basis, 0) for s in message.palette]
+    codes = list(message.codes)
+    _flip_kernel(codes, range(len(codes)), read0, [_ZERO] * size, [_ONE] * size, rng)
+    return ObservedMessage(bits=bytes(codes).decode("ascii"), observation_basis=basis)
 
 
 def verify(
@@ -261,8 +350,4 @@ def classical_flip_embed(
         raise InvalidProbability(f"flip probability must be in [0, 1], got {pe}")
     order = sorted({int(i) for i in indices})
     _check_indices(order, len(bits))
-    out = list(bits)
-    for i in order:
-        if rng.draw() < pe:
-            out[i] = "0" if out[i] == "1" else "1"
-    return "".join(out)
+    return _flip_bits(bits, order, pe, rng)

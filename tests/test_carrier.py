@@ -46,6 +46,18 @@ class TestBitPacking:
         with pytest.raises(ValueError):
             bits_to_bytes("1010010")
 
+    @pytest.mark.parametrize("bits", [
+        "0b101010", "1_010101", " 1010101", "1010101\n", "22222222", "\uff110101010",
+    ])
+    def test_only_binary_digits_are_packed(self, bits):
+        # int(_, 2) accepts each of these, so the check must come first
+        with pytest.raises(ValueError):
+            bits_to_bytes(bits)
+
+    def test_empty_input(self):
+        assert bytes_to_bits(b"") == ""
+        assert bits_to_bytes("") == b""
+
 
 class TestCarrierPayload:
     def test_mask_must_cover_the_bits(self):

@@ -224,6 +224,22 @@ class TestErrorExits:
         assert code == 2
         capsys.readouterr()
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["observe", "--in", str(deep)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unexpected_exception_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        paths = run_pipeline(tmp_path)
+
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "observe", broken)
+        assert cli.main(["observe", "--in", str(paths["marked"])]) == 2
+        assert capsys.readouterr().err == "error: unexpected RuntimeError: boom\n"
+
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])

@@ -102,6 +102,33 @@ class TestSecretFormat:
         with pytest.raises(MalformedFile):
             load_secret("[1, 2, 3]")
 
+    def test_boolean_version_is_refused(self):
+        # true == 1 in Python, and 1.0 == 1; neither is version 1
+        for version in (True, 1.0):
+            with pytest.raises(UnsupportedVersion):
+                load_secret(mutate(dump_secret(SECRET, 0.5), version=version))
+
+    def test_boolean_indices_are_refused(self):
+        with pytest.raises(MalformedFile):
+            load_secret(mutate(dump_secret(SECRET, 0.5), indices=[False, True]))
+        with pytest.raises(MalformedFile):
+            load_secret(mutate(dump_secret(SECRET, 0.5), indices=[0, True, 6]))
+
+
+@pytest.mark.parametrize("load", [load_secret, load_quantum_message, load_observation])
+def test_deep_nesting_is_a_malformed_file(load):
+    with pytest.raises(MalformedFile):
+        load("[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("load,dump,value", [
+    (load_quantum_message, dump_quantum_message, MESSAGE),
+    (load_observation, dump_observation, OBSERVATION),
+])
+def test_boolean_version_is_refused_by_every_format(load, dump, value):
+    with pytest.raises(UnsupportedVersion):
+        load(mutate(dump(value), version=True))
+
 
 class TestMessageFormat:
     def test_round_trip(self):
@@ -128,6 +155,15 @@ class TestMessageFormat:
             load_quantum_message(mutate(text, states=["180.000000"]))
         with pytest.raises(MalformedFile):
             load_quantum_message(mutate(text, states=[]))
+
+    def test_unhashable_states(self):
+        text = dump_quantum_message(MESSAGE)
+        with pytest.raises(MalformedFile):
+            load_quantum_message(mutate(text, states=[["45.000000"]]))
+        with pytest.raises(MalformedFile):
+            load_quantum_message(mutate(text, states=["45.000000", {"phi": "0.0"}]))
+        with pytest.raises(MalformedFile):
+            load_quantum_message(mutate(text, states=["45.000000", None]))
 
 
 class TestObservationFormat:

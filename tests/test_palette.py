@@ -1,0 +1,209 @@
+"""Property tests for the palette message representation and the flip kernel.
+
+observe and embed run every measurement through one table-lookup kernel over
+palette codes. They must reproduce, draw for draw, the per-object reference
+kept here: qstate.measure applied to each RebitState in order. The v1 message
+file must stay byte-identical to json.dumps of the whole document, and numpy's
+MT19937, loaded from the state of random.Random, serves as an independent
+oracle for the observe transcript.
+"""
+
+import json
+import random
+import warnings
+from array import array
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qumark.errors import EmptyMessage, IndexOutOfRange
+from qumark.fileformats import _format_angle, dump_quantum_message, load_quantum_message
+from qumark.qstate import (
+    Basis,
+    RandomSource,
+    RebitState,
+    encode_bit,
+    measure,
+    outcome_probability,
+)
+from qumark.watermark import QuantumMessage, WatermarkSecret, embed, observe
+
+# eigenstates of the usual bases, plus arbitrary angles
+STATE_ANGLES = st.one_of(
+    st.sampled_from([0.0, 30.0, 45.0, 90.0, 120.0, 135.0]),
+    st.floats(0.0, 180.0, exclude_max=True),
+)
+BASIS_ANGLES = st.one_of(
+    st.sampled_from([0.0, 30.0, 45.0]), st.floats(0.0, 90.0, exclude_max=True)
+)
+SEEDS = st.integers(0, 2**32 - 1)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def reference_observe(states, basis, rng):
+    return "".join(str(measure(state, basis, rng)) for state in states)
+
+
+def reference_embed(states, writing, indices, mark, rng):
+    states = list(states)
+    for i in indices:
+        states[i] = encode_bit(measure(states[i], writing, rng), mark)
+    return states
+
+
+def wide_palette(seed, distinct, length):
+    """States over `distinct` non-eigenstate angles, each used at least once."""
+    rng = random.Random(seed)
+    angles = [rng.uniform(0.5, 179.5) for _ in range(distinct)]
+    angles += [rng.choice(angles) for _ in range(length - distinct)]
+    rng.shuffle(angles)
+    return [RebitState(a) for a in angles]
+
+
+def same_stream_position(a, b):
+    return a.draw() == b.draw()
+
+
+@st.composite
+def messages(draw, max_size=64):
+    angles = draw(st.lists(STATE_ANGLES, min_size=1, max_size=max_size))
+    writing = Basis(draw(BASIS_ANGLES))
+    return QuantumMessage([RebitState(a) for a in angles], writing)
+
+
+class TestObserveMatchesReference:
+    @PROPERTY
+    @given(message=messages(), basis=BASIS_ANGLES, seed=SEEDS)
+    def test_small_palettes(self, message, basis, seed):
+        basis = Basis(basis)
+        kernel_rng, reference_rng = RandomSource(seed), RandomSource(seed)
+        observed = observe(message, basis, kernel_rng)
+        assert observed.bits == reference_observe(message.states, basis, reference_rng)
+        assert same_stream_position(kernel_rng, reference_rng)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        distinct=st.integers(250, 300),
+        basis=BASIS_ANGLES,
+        seed=SEEDS,
+    )
+    def test_more_than_256_distinct_angles(self, distinct, basis, seed):
+        states = wide_palette(seed, distinct, 600)
+        message = QuantumMessage(states, Basis(0.0))
+        assert len(message.palette) == distinct
+        assert isinstance(message.codes, bytes if distinct <= 256 else array)
+        basis = Basis(basis)
+        observed = observe(message, basis, RandomSource(seed))
+        assert observed.bits == reference_observe(states, basis, RandomSource(seed))
+
+
+class TestEmbedMatchesReference:
+    @PROPERTY
+    @given(message=messages(), mark=BASIS_ANGLES, seed=SEEDS, data=st.data())
+    def test_small_palettes(self, message, mark, seed, data):
+        mark = Basis(mark)
+        assume(mark.is_dissimilar_to(message.writing_basis))
+        indices = sorted(data.draw(
+            st.sets(st.integers(0, len(message) - 1), min_size=1), label="indices"
+        ))
+        secret = WatermarkSecret(indices=tuple(indices), mark_basis=mark)
+        kernel_rng, reference_rng = RandomSource(seed), RandomSource(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            marked = embed(message, secret, kernel_rng)
+        expected = reference_embed(
+            message.states, message.writing_basis, indices, mark, reference_rng
+        )
+        assert [s.phi for s in marked.states] == [s.phi for s in expected]
+        assert marked.writing_basis == message.writing_basis
+        assert same_stream_position(kernel_rng, reference_rng)
+
+    @settings(max_examples=10, deadline=None)
+    @given(distinct=st.integers(254, 258), mark=BASIS_ANGLES, seed=SEEDS)
+    def test_palette_growing_past_256(self, distinct, mark, seed):
+        # the marking basis adds up to two states, which can push the codes
+        # from bytes to array('I')
+        mark = Basis(mark)
+        writing = Basis(0.0)
+        assume(mark.is_dissimilar_to(writing))
+        states = wide_palette(seed, distinct, 400)
+        secret = WatermarkSecret(indices=tuple(range(0, 400, 3)), mark_basis=mark)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            marked = embed(QuantumMessage(states, writing), secret, RandomSource(seed))
+        expected = reference_embed(states, writing, secret.indices, mark, RandomSource(seed))
+        assert [s.phi for s in marked.states] == [s.phi for s in expected]
+        assert isinstance(marked.codes, bytes if len(marked.palette) <= 256 else array)
+
+
+def test_from_palette_checks_its_codes():
+    palette = (RebitState(0.0), RebitState(90.0))
+    message = QuantumMessage.from_palette(palette, [1, 0, 1], Basis(0.0))
+    assert [s.phi for s in message.states] == [90.0, 0.0, 90.0]
+    with pytest.raises(IndexOutOfRange):
+        QuantumMessage.from_palette(palette, [0, 2], Basis(0.0))
+    with pytest.raises(EmptyMessage):
+        QuantumMessage.from_palette(palette, [], Basis(0.0))
+
+
+class TestMessageFile:
+    @PROPERTY
+    @given(message=messages())
+    def test_dump_is_the_json_document(self, message):
+        document = {
+            "version": 1,
+            "writing_basis_theta": _format_angle(message.writing_basis.theta, 90.0),
+            "states": [_format_angle(state.phi, 180.0) for state in message.states],
+        }
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert dump_quantum_message(message) == expected
+
+    @PROPERTY
+    @given(message=messages())
+    def test_dump_of_load_is_the_identity_on_dumped_text(self, message):
+        text = dump_quantum_message(message)
+        assert dump_quantum_message(load_quantum_message(text)) == text
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=SEEDS)
+    def test_identity_with_more_than_256_distinct_angles(self, seed):
+        text = dump_quantum_message(QuantumMessage(wide_palette(seed, 300, 500), Basis(0.0)))
+        loaded = load_quantum_message(text)
+        assert isinstance(loaded.codes, array)
+        assert dump_quantum_message(loaded) == text
+
+    def test_angles_rounding_up_to_the_period_load_back(self):
+        message = QuantumMessage([RebitState(180.0 - 1e-7)], Basis(90.0 - 1e-7))
+        document = json.loads(dump_quantum_message(message))
+        assert document["states"] == ["0.000000"]
+        assert document["writing_basis_theta"] == "0.000000"
+        text = dump_quantum_message(message)
+        assert dump_quantum_message(load_quantum_message(text)) == text
+
+    def test_strings_naming_one_angle_share_a_code(self):
+        text = json.dumps({
+            "version": 1,
+            "writing_basis_theta": "0.000000",
+            "states": ["45.000000", "45.0", "90.000000", "45"],
+        })
+        loaded = load_quantum_message(text)
+        assert len(loaded.palette) == 2
+        assert json.loads(dump_quantum_message(loaded))["states"] == [
+            "45.000000", "45.000000", "90.000000", "45.000000",
+        ]
+
+
+class TestNumpyOracle:
+    @PROPERTY
+    @given(message=messages(max_size=256), basis=BASIS_ANGLES, seed=SEEDS)
+    def test_mt19937_reproduces_the_observe_transcript(self, message, basis, seed):
+        basis = Basis(basis)
+        observed = observe(message, basis, RandomSource(seed))
+        _version, internal, _gauss = random.Random(seed).getstate()
+        oracle = np.random.RandomState()
+        oracle.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+        draws = oracle.random_sample(len(message))
+        read0 = np.array([outcome_probability(s, basis, 0) for s in message.states])
+        assert observed.bits == "".join(np.where(draws < read0, "0", "1"))
