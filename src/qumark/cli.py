@@ -20,7 +20,7 @@ from .attacks import averaging_attack, noise_attack, run_attack_report, shift_at
 from .errors import QumarkError
 from .keys import DerivationParams, SecretKey, generate_secret
 from .qstate import Basis, RandomSource, expected_error_probability
-from .watermark import ObservedMessage, build_message, embed, observe, verify
+from .watermark import ObservedMessage, WatermarkSecret, build_message, embed, observe, verify
 
 __all__ = ["build_parser", "main"]
 
@@ -28,15 +28,17 @@ SEED_ENV_VAR = "QUMARK_SEED"
 
 
 def _seed_from(args: argparse.Namespace) -> int | None:
-    if args.seed is not None:
-        return args.seed
+    seed, source = args.seed, "--seed"
     env = os.environ.get(SEED_ENV_VAR)
-    if env is None or env == "":
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    if seed is None and env:
+        try:
+            seed, source = int(env), SEED_ENV_VAR
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    # random.Random seeds with abs(), so -5 would silently replay 5
+    if seed is not None and seed < 0:
+        raise ValueError(f"{source} must be nonnegative, got {seed}")
+    return seed
 
 
 def _read_bytes(path: str) -> bytes:
@@ -160,17 +162,27 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    suspect = fileformats.load_observation(_read_text(args.suspect))
+def _load_audit(
+    args: argparse.Namespace,
+) -> tuple[ObservedMessage, WatermarkSecret, stats.DecisionRule]:
+    """The reference, secret and decision rule that verify and every attack read."""
     reference = fileformats.load_observation(_read_text(args.reference))
     secret, _recorded_pe = fileformats.load_secret(_read_text(args.secret))
-    rule = _parse_rule(args.rule)
+    return reference, secret, _parse_rule(args.rule)
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    suspect = fileformats.load_observation(_read_text(args.suspect))
+    reference, secret, rule = _load_audit(args)
     report = verify(suspect, reference, secret, rule)
     _print_report(report, rule)
     return 0 if report.accepted else 1
 
 
-def _finish_attack(args: argparse.Namespace, outcome, rule: stats.DecisionRule) -> int:
+def _run_attack(args: argparse.Namespace, observation: ObservedMessage, audit, attack) -> int:
+    """Verify before and after the attack, save the attacked copy, exit by the after verdict."""
+    reference, secret, rule = audit
+    outcome = run_attack_report(observation, reference, secret, rule, attack)
     if args.out is not None:
         _write_text(args.out, fileformats.dump_observation(outcome.attacked))
     print("== before ==")
@@ -182,40 +194,26 @@ def _finish_attack(args: argparse.Namespace, outcome, rule: stats.DecisionRule) 
 
 def _cmd_attack_noise(args: argparse.Namespace) -> int:
     original = fileformats.load_observation(_read_text(args.infile))
-    reference = fileformats.load_observation(_read_text(args.reference))
-    secret, _pe = fileformats.load_secret(_read_text(args.secret))
-    rule = _parse_rule(args.rule)
+    audit = _load_audit(args)
     rng = RandomSource(_seed_from(args))
-    outcome = run_attack_report(
-        original, reference, secret, rule, lambda obs: noise_attack(obs, args.rate, rng)
-    )
-    return _finish_attack(args, outcome, rule)
+    return _run_attack(args, original, audit, lambda obs: noise_attack(obs, args.rate, rng))
 
 
 def _cmd_attack_shift(args: argparse.Namespace) -> int:
     original = fileformats.load_observation(_read_text(args.infile))
-    reference = fileformats.load_observation(_read_text(args.reference))
-    secret, _pe = fileformats.load_secret(_read_text(args.secret))
-    rule = _parse_rule(args.rule)
-    outcome = run_attack_report(
-        original, reference, secret, rule,
-        lambda obs: shift_attack(obs, args.offset, args.pad),
-    )
-    return _finish_attack(args, outcome, rule)
+    audit = _load_audit(args)
+    return _run_attack(args, original, audit, lambda obs: shift_attack(obs, args.offset, args.pad))
 
 
 def _cmd_attack_averaging(args: argparse.Namespace) -> int:
     copies = [fileformats.load_observation(_read_text(path)) for path in args.copies]
-    reference = fileformats.load_observation(_read_text(args.reference))
-    secret, _pe = fileformats.load_secret(_read_text(args.secret))
-    rule = _parse_rule(args.rule)
+    audit = _load_audit(args)
     result = averaging_attack(copies)
     recovered = ObservedMessage(
         bits=result.recovered_bits, observation_basis=copies[0].observation_basis
     )
     print(f"suspected_positions: {len(result.suspected_indices)}")
-    outcome = run_attack_report(copies[0], reference, secret, rule, lambda _obs: recovered)
-    return _finish_attack(args, outcome, rule)
+    return _run_attack(args, copies[0], audit, lambda _obs: recovered)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -241,7 +239,11 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_rule(parser: argparse.ArgumentParser) -> None:
+def _add_audit(parser: argparse.ArgumentParser, out_help: str | None = None) -> None:
+    parser.add_argument("--reference", required=True, help="reference observation file")
+    parser.add_argument("--secret", required=True, help="secret file")
+    if out_help is not None:
+        parser.add_argument("--out", default=None, help=out_help)
     parser.add_argument(
         "--rule", default="wilson:0.99",
         help="decision rule: fixed:EPS, wilson:CONF, or binom:CONF (default wilson:0.99)",
@@ -290,9 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="decide whether a suspect carries the mark")
     verify_cmd.add_argument("--suspect", required=True, help="suspect observation file")
-    verify_cmd.add_argument("--reference", required=True, help="reference observation file")
-    verify_cmd.add_argument("--secret", required=True, help="secret file")
-    _add_rule(verify_cmd)
+    _add_audit(verify_cmd)
     verify_cmd.set_defaults(handler=_cmd_verify)
 
     attack = sub.add_parser("attack", help="run an attack and verify before/after")
@@ -301,10 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     noise = attack_sub.add_parser("noise", help="flip every bit with a fixed probability")
     noise.add_argument("--in", dest="infile", required=True, help="observation to attack")
     noise.add_argument("--rate", type=float, required=True, help="per-bit flip probability")
-    noise.add_argument("--reference", required=True)
-    noise.add_argument("--secret", required=True)
-    noise.add_argument("--out", default=None, help="write the attacked observation here")
-    _add_rule(noise)
+    _add_audit(noise, "write the attacked observation here")
     _add_seed(noise)
     noise.set_defaults(handler=_cmd_attack_noise)
 
@@ -312,19 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     shift.add_argument("--in", dest="infile", required=True, help="observation to attack")
     shift.add_argument("--offset", type=int, required=True)
     shift.add_argument("--pad", type=int, choices=(0, 1), default=0)
-    shift.add_argument("--reference", required=True)
-    shift.add_argument("--secret", required=True)
-    shift.add_argument("--out", default=None, help="write the attacked observation here")
-    _add_rule(shift)
+    _add_audit(shift, "write the attacked observation here")
     shift.set_defaults(handler=_cmd_attack_shift)
 
     averaging = attack_sub.add_parser("averaging", help="collude over several releases")
     averaging.add_argument("--copies", nargs="+", required=True, metavar="OBS",
                            help="two or more observation files of the same message")
-    averaging.add_argument("--reference", required=True)
-    averaging.add_argument("--secret", required=True)
-    averaging.add_argument("--out", default=None, help="write the recovered observation here")
-    _add_rule(averaging)
+    _add_audit(averaging, "write the recovered observation here")
     averaging.set_defaults(handler=_cmd_attack_averaging)
 
     analyze = sub.add_parser("analyze", help="recommend index set sizes")

@@ -62,7 +62,7 @@ def _dump(document: dict) -> str:
 def _load(text: str | bytes, expected_version: int, kind: str) -> dict:
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, undecodable bytes, or an over-long integer
         raise MalformedFile(f"{kind} file is not valid JSON: {exc}") from None
     except RecursionError:
         raise MalformedFile(f"{kind} file nests too deeply to parse") from None
@@ -123,9 +123,10 @@ def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
         raise MalformedFile("expected_pe must be a number")
     try:
         secret = WatermarkSecret(indices=tuple(indices), mark_basis=Basis(theta), key=key)
-    except ValueError as exc:
+        expected_pe = float(expected_pe)  # an integer past 2**1024 overflows
+    except (ValueError, OverflowError) as exc:
         raise MalformedFile(f"secret file holds an invalid secret: {exc}") from None
-    return secret, float(expected_pe)
+    return secret, expected_pe
 
 
 def dump_quantum_message(message: QuantumMessage) -> str:

@@ -13,7 +13,10 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import struct
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .errors import TooFewEligiblePositions
 from .qstate import Basis
@@ -96,41 +99,23 @@ class DerivationParams:
         return [i for i, flag in enumerate(self.eligibility_mask) if flag == "1"]
 
 
-class _KeyStream:
+def _key_words(key: SecretKey) -> Iterator[int]:
     """Deterministic stream of 64-bit words from a keyed BLAKE2b in counter mode."""
+    raw = key.data
+    if len(raw) > 64:
+        raw = hashlib.blake2b(raw).digest()  # BLAKE2b keys cap at 64 bytes
+    for counter in count():
+        block = hashlib.blake2b(counter.to_bytes(8, "big"), key=raw, person=_PERSONALIZATION)
+        yield from struct.unpack(">8Q", block.digest())
 
-    def __init__(self, key: SecretKey) -> None:
-        raw = key.data
-        if len(raw) > 64:
-            raw = hashlib.blake2b(raw).digest()  # BLAKE2b keys cap at 64 bytes
-        self._key = raw
-        self._counter = 0
-        self._words: list[int] = []
 
-    def _refill(self) -> None:
-        block = hashlib.blake2b(
-            self._counter.to_bytes(8, "big"),
-            key=self._key,
-            person=_PERSONALIZATION,
-        ).digest()
-        self._counter += 1
-        self._words = [
-            int.from_bytes(block[i : i + 8], "big") for i in range(0, 64, 8)
-        ][::-1]
-
-    def next_word(self) -> int:
-        if not self._words:
-            self._refill()
-        return self._words.pop()
-
-    def below(self, bound: int) -> int:
-        """Unbiased integer in [0, bound), by rejection sampling the word stream."""
-        span = 1 << 64
-        limit = span - span % bound
-        while True:
-            word = self.next_word()
-            if word < limit:
-                return word % bound
+def _below(words: Iterator[int], bound: int) -> int:
+    """Unbiased integer in [0, bound), by rejection sampling the word stream."""
+    span = 1 << 64
+    limit = span - span % bound
+    for word in words:
+        if word < limit:
+            return word % bound
 
 
 def derive_indices(key: SecretKey, params: DerivationParams) -> tuple[int, ...]:
@@ -141,13 +126,9 @@ def derive_indices(key: SecretKey, params: DerivationParams) -> tuple[int, ...]:
     is computationally indistinguishable from a uniform random subset.
     """
     pool = params.eligible_positions()
-    if params.mark_count > len(pool):
-        raise TooFewEligiblePositions(
-            f"asked for {params.mark_count} marks but only {len(pool)} positions are eligible"
-        )
-    stream = _KeyStream(key)
+    words = _key_words(key)
     for i in range(params.mark_count):
-        j = i + stream.below(len(pool) - i)
+        j = i + _below(words, len(pool) - i)
         pool[i], pool[j] = pool[j], pool[i]
     return tuple(sorted(pool[: params.mark_count]))
 

@@ -9,7 +9,9 @@ frequency, a Wilson score interval, and a two-sided exact binomial test.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import NormalDist
 
 from .errors import (
@@ -206,21 +208,14 @@ def min_sample_size_literal(pe: float) -> SampleSizeSpec:
 def _rejection_power(n: int, pe: float, null_rate: float, alpha: float) -> float:
     """P[the exact test at level alpha rejects rate pe] when bits flip at null_rate."""
     pmf0 = _binomial_pmf_row(n, pe)
-    order = sorted(range(n + 1), key=pmf0.__getitem__)
-    vals = [pmf0[k] for k in order]
-    # p-value of outcome k is the total mass of outcomes no more likely;
-    # two pointers over the sorted masses give all n+1 p-values in one pass
-    pvals = [0.0] * (n + 1)
-    running = 0.0
-    j = 0
-    for i in range(n + 1):
-        cutoff = vals[i] * (1.0 + _PMF_TIE_SLACK)
-        while j <= n and vals[j] <= cutoff:
-            running += vals[j]
-            j += 1
-        pvals[order[i]] = running
+    # the p-value of an outcome is the running mass of the sorted masses up
+    # to its own (ties included), so the test rejects exactly the outcomes
+    # below the first sorted mass at which that running mass passes alpha
+    masses = sorted(pmf0)
+    kept = bisect_right(list(accumulate(masses)), alpha)
+    threshold = masses[kept] if kept <= n else math.inf
     pmf1 = _binomial_pmf_row(n, null_rate)
-    return math.fsum(pmf1[k] for k in range(n + 1) if pvals[k] <= alpha)
+    return math.fsum(q for p, q in zip(pmf0, pmf1) if p * (1.0 + _PMF_TIE_SLACK) < threshold)
 
 
 def recommended_sample_size(pe: float, null_rate: float, confidence: float, power: float) -> int:

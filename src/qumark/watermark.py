@@ -11,6 +11,7 @@ secret positions matches the expected rate.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -186,13 +187,13 @@ class WatermarkSecret:
     key: bytes | None = None
 
     def __post_init__(self) -> None:
-        indices = tuple(int(i) for i in self.indices)
+        indices = tuple(map(int, self.indices))
         object.__setattr__(self, "indices", indices)
         if not indices:
             raise ValueError("index set must not be empty")
         if indices[0] < 0:
             raise IndexOutOfRange(f"indices must be nonnegative, got {indices[0]}")
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+        if not all(map(operator.lt, indices, indices[1:])):
             raise ValueError("indices must be strictly increasing")
 
 

@@ -6,6 +6,8 @@ for broken files. Canonical emission must round-trip byte for byte.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qumark.carrier import (
     PGM_LSB,
@@ -20,6 +22,7 @@ from qumark.carrier import (
 )
 from qumark.errors import (
     EmptyInput,
+    QumarkError,
     MalformedHeader,
     MissingMeta,
     TruncatedPixelData,
@@ -189,3 +192,35 @@ class TestEmit:
         out = emit(flipped, meta)
         _, _ = ingest_pgm(out)
         assert out == b"P5\n4 2\n255\n" + bytes([11, 20, 30, 40, 50, 60, 70, 81])
+
+FIELDS = st.sampled_from([b"0", b"1", b"2", b"3", b"-1", b"x", b"1" + b"0" * 5000])
+SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\n#c\n", b"#c", b""])
+PGM_LIKE = st.builds(
+    lambda magic, width, height, maxval, seps, pixels: (
+        magic + seps[0] + width + seps[1] + height + seps[2] + maxval + seps[3] + pixels
+    ),
+    st.sampled_from([b"P5", b"P2", b""]),
+    FIELDS,
+    FIELDS,
+    st.sampled_from([b"255", b"1", b"256", b"65536", b"65535", b"0"]),
+    st.lists(SEPARATORS, min_size=4, max_size=4),
+    st.binary(max_size=12),
+)
+
+
+VALID_PGM = st.builds(
+    lambda width, height, pixels: pgm(width, height, pixels[: width * height]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.binary(min_size=16, max_size=16),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.binary() | PGM_LIKE | VALID_PGM)
+def test_arbitrary_bytes_ingest_or_raise_a_qumark_error(data):
+    try:
+        payload, meta = ingest_pgm(data)
+    except QumarkError:
+        return
+    assert len(payload.bits) == 8 * meta.width * meta.height

@@ -157,6 +157,20 @@ class TestSeeding:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_negative_seed_is_refused(self, tmp_path, monkeypatch, capsys, source):
+        # random.Random seeds with abs(), so -5 would replay the run of 5
+        out = tmp_path / "secret.json"
+        argv = ["keygen", "--message-len", "8", "--count", "4", "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-5"]
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, "-5")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unseeded_runs_draw_fresh_keys(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -245,6 +259,61 @@ class TestErrorExits:
             cli.main([])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+AUDIT_COMMANDS = {
+    "verify": ["verify", "--suspect", "s.json"],
+    "noise": ["attack", "noise", "--in", "i.json", "--rate", "0.1"],
+    "shift": ["attack", "shift", "--in", "i.json", "--offset", "1"],
+    "averaging": ["attack", "averaging", "--copies", "a.json", "b.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_COMMANDS))
+class TestAuditFlags:
+    """verify and every attack read --reference, --secret and --rule alike."""
+
+    def parse(self, name, *extra):
+        return cli.build_parser().parse_args(AUDIT_COMMANDS[name] + list(extra))
+
+    def test_reference_secret_and_rule(self, name):
+        args = self.parse(name, "--reference", "r.json", "--secret", "k.json")
+        assert (args.reference, args.secret, args.rule) == ("r.json", "k.json", "wilson:0.99")
+        args = self.parse(name, "--reference", "r.json", "--secret", "k.json", "--rule", "binom:0.9")
+        assert args.rule == "binom:0.9"
+
+    @pytest.mark.parametrize("missing", ["--reference", "--secret"])
+    def test_reference_and_secret_are_required(self, name, missing, capsys):
+        supplied = {"--reference": "r.json", "--secret": "k.json"}
+        del supplied[missing]
+        with pytest.raises(SystemExit) as excinfo:
+            self.parse(name, *[token for pair in supplied.items() for token in pair])
+        assert excinfo.value.code == 2
+        assert missing in capsys.readouterr().err
+
+    def test_out_is_an_attack_flag(self, name, capsys):
+        audit = ["--reference", "r.json", "--secret", "k.json"]
+        if name == "verify":
+            with pytest.raises(SystemExit):
+                self.parse(name, *audit, "--out", "o.json")
+            capsys.readouterr()
+        else:
+            assert self.parse(name, *audit).out is None
+            assert self.parse(name, *audit, "--out", "o.json").out == "o.json"
+
+    def test_inputs_are_read_in_order_before_any_output(self, name, tmp_path, capsys):
+        paths = run_pipeline(tmp_path)
+        missing = str(tmp_path / "missing.json")
+        first = [missing if token.endswith(".json") else token for token in AUDIT_COMMANDS[name]]
+        audit = ["--reference", str(paths["reference"]), "--secret", str(tmp_path / "absent")]
+        # the suspect or attacked copies are read first, then the reference and secret
+        assert cli.main(first + audit) == 2
+        assert "missing.json" in capsys.readouterr().err
+        suspect = [str(paths["suspect"]) if token == missing else token for token in first]
+        assert cli.main(suspect + audit) == 2
+        captured = capsys.readouterr()
+        assert "absent" in captured.err
+        assert captured.out == ""
 
 
 class TestAttackCommands:

@@ -8,6 +8,8 @@ mis-versioned input must fail loudly instead of being repaired.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qumark.errors import MalformedFile, UnsupportedVersion
 from qumark.fileformats import (
@@ -128,6 +130,88 @@ def test_deep_nesting_is_a_malformed_file(load):
 def test_boolean_version_is_refused_by_every_format(load, dump, value):
     with pytest.raises(UnsupportedVersion):
         load(mutate(dump(value), version=True))
+
+
+LONG_INTEGER = "1" + "0" * 5000  # past CPython's 4,300-digit int-conversion limit
+
+
+def with_long_integer(text, field, shape="{}"):
+    return mutate(text, **{field: "@"}).replace('"@"', shape.format(LONG_INTEGER))
+
+
+@pytest.mark.parametrize("load,text", [
+    (load_secret, with_long_integer(dump_secret(SECRET, 0.5), "expected_pe")),
+    (load_secret, with_long_integer(dump_secret(SECRET, 0.5), "indices", "[0, {}]")),
+    (load_observation, with_long_integer(dump_observation(OBSERVATION), "bit_length")),
+    (load_quantum_message, with_long_integer(dump_quantum_message(MESSAGE), "version")),
+], ids=["secret-expected-pe", "secret-index", "observation-bit-length", "message-version"])
+def test_over_long_integer_is_a_malformed_file(load, text):
+    with pytest.raises(MalformedFile):
+        load(text)
+
+
+def test_expected_pe_beyond_float_range_is_a_malformed_file():
+    with pytest.raises(MalformedFile):
+        load_secret(mutate(dump_secret(SECRET, 0.5), expected_pe=10**400))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+# values shaped like the real fields, so documents also get past the type checks
+FIELD_VALUES = JSON_VALUES | st.sampled_from([
+    1, 0, -1, 2**64, 10**400, 0.5, "", "0.000000", "45.000000", "89.999999", "90.000000",
+    "179.999999", "180.000000", "-0.0", "nan", "inf", "1e400", "1_0", "AAAA", "AA==", "=",
+]) | st.lists(st.integers(-3, 2**70), max_size=6) | st.lists(
+    st.sampled_from(["0.000000", "45.000000", "90.000000", "135.000000", "nan", 0, None]),
+    max_size=6,
+)
+
+FORMATS = {
+    "secret": (load_secret, dump_secret(SECRET, 0.5)),
+    "message": (load_quantum_message, dump_quantum_message(MESSAGE)),
+    "observation": (load_observation, dump_observation(OBSERVATION)),
+}
+
+
+@st.composite
+def documents(draw, text):
+    """A valid document with some fields dropped or replaced, perhaps extended."""
+    document = json.loads(text)
+    for name in sorted(document):
+        action = draw(st.sampled_from(["keep", "drop", "replace"]))
+        if action == "drop":
+            del document[name]
+        elif action == "replace":
+            document[name] = draw(FIELD_VALUES)
+    document.update(draw(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2)))
+    return document
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+class TestArbitraryInput:
+    """Any input either loads or fails as MalformedFile/UnsupportedVersion."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_document(self, kind, data):
+        load, text = FORMATS[kind]
+        document = data.draw(documents(text) | JSON_VALUES)
+        try:
+            load(json.dumps(document))
+        except (MalformedFile, UnsupportedVersion):
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.binary() | st.text().map(str.encode))
+    def test_arbitrary_bytes(self, kind, raw):
+        load, _text = FORMATS[kind]
+        try:
+            load(raw)
+        except (MalformedFile, UnsupportedVersion):
+            pass
 
 
 class TestMessageFormat:

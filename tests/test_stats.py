@@ -7,10 +7,16 @@ brute-force linear scan of the power curve. scipy serves as a second,
 online oracle for randomized cross-checks.
 """
 
+import math
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from qumark import stats
 from qumark.errors import (
     CountExceedsTotal,
     InvalidProbability,
@@ -300,3 +306,51 @@ class TestRecommendedSampleSize:
             recommended_sample_size(0.5, 0.0, 1.0, 0.99)
         with pytest.raises(InvalidProbability):
             recommended_sample_size(0.5, 0.0, 0.99, 0.0)
+
+
+def reference_rejection_power(n, pe, null_rate, alpha):
+    """Power outcome by outcome, the reference for stats._rejection_power.
+
+    Sort the masses under pe, give every outcome its p-value with two
+    pointers, and sum the null_rate mass of the outcomes with p <= alpha.
+    """
+    pmf0 = stats._binomial_pmf_row(n, pe)
+    order = sorted(range(n + 1), key=pmf0.__getitem__)
+    vals = [pmf0[k] for k in order]
+    pvals = [0.0] * (n + 1)
+    running = 0.0
+    j = 0
+    for i in range(n + 1):
+        cutoff = vals[i] * (1.0 + stats._PMF_TIE_SLACK)
+        while j <= n and vals[j] <= cutoff:
+            running += vals[j]
+            j += 1
+        pvals[order[i]] = running
+    pmf1 = stats._binomial_pmf_row(n, null_rate)
+    return math.fsum(pmf1[k] for k in range(n + 1) if pvals[k] <= alpha)
+
+
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def power_cases(draw):
+    n = draw(st.integers(0, 400))
+    pe = draw(st.just(0.5) | OPEN_UNIT)  # 0.5 gives a symmetric pmf: every mass tied twice
+    null_rate = draw(st.floats(0.0, 1.0, exclude_max=True))
+    # alpha either anywhere, or exactly on one of the running sums the
+    # threshold search bisects, where <= and < would part ways
+    sums = list(accumulate(sorted(stats._binomial_pmf_row(n, pe))))
+    on_a_sum = st.sampled_from([v for v in sums if 0.0 < v < 1.0] or [0.5])
+    alpha = draw(OPEN_UNIT | on_a_sum)
+    return n, pe, null_rate, alpha
+
+
+class TestRejectionPower:
+    @settings(max_examples=300, deadline=None)
+    @given(power_cases())
+    @example((100, 0.5, 0.25, 0.01))
+    @example((400, 0.5, 0.0, 0.05))
+    @example((0, 0.5, 0.0, 0.5))
+    def test_equals_the_outcome_by_outcome_reference(self, case):
+        assert stats._rejection_power(*case) == reference_rejection_power(*case)

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from qumark.errors import (
@@ -78,6 +80,22 @@ class TestMessageTypes:
             WatermarkSecret(indices=(2, 2), mark_basis=MARK45)
         with pytest.raises(IndexOutOfRange):
             WatermarkSecret(indices=(-1, 2), mark_basis=MARK45)
+
+    @given(st.lists(st.integers(-2, 6) | st.floats(-2.0, 6.0) | st.booleans(), max_size=6))
+    def test_secret_accepts_what_the_per_index_loop_accepted(self, raw):
+        def reference(values):
+            indices = tuple(int(i) for i in values)
+            if not indices or indices[0] < 0:
+                return None
+            if any(b <= a for a, b in zip(indices, indices[1:])):
+                return None
+            return indices
+
+        try:
+            indices = WatermarkSecret(indices=raw, mark_basis=MARK45).indices
+        except ValueError:
+            indices = None
+        assert indices == reference(raw)
 
     def test_observed_message_validates_bits(self):
         observed = ObservedMessage(bits="0101", observation_basis=WRITING)
