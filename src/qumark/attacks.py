@@ -8,7 +8,10 @@ mark outright), so the classical setting is the interesting one.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 from . import stats
@@ -30,6 +33,8 @@ __all__ = [
     "shift_attack",
     "run_attack_report",
 ]
+
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -74,20 +79,32 @@ def averaging_attack(copies: Sequence[ObservedMessage]) -> AveragingResult:
             raise LengthMismatch("copies must share one length to be averaged")
         if other.observation_basis != first.observation_basis:
             raise BasisMismatch("copies must share one observation basis to be averaged")
-    m = len(copies)
-    recovered = []
-    suspected = []
-    counts = []
-    for i, column in enumerate(zip(*(copy.bits for copy in copies))):
-        ones = column.count("1")
-        majority = "1" if 2 * ones > m else "0"
-        recovered.append(majority)
-        counts.append(m - ones if majority == "1" else ones)
-        if 0 < ones < m:
-            suspected.append(i)
+    m, n = len(copies), len(first)
+    # each copy becomes one integer with a 0/1 digit per position; digits of
+    # `width` bytes hold counts up to m, so summing the copies never carries
+    # from one position into the next and leaves each position's ones count
+    code = next(c for c in "BHILQ" if 256 ** array(c).itemsize > m)
+    width = array(code).itemsize
+    low_bytes = slice(0 if sys.byteorder == "little" else width - 1, None, width)
+    total = 0
+    for copy in copies:
+        digits = bytearray(n * width)
+        digits[low_bytes] = copy.bits.encode("ascii").translate(_BIT_DIGITS)
+        total += int.from_bytes(digits, sys.byteorder)
+    ones = total.to_bytes(n * width, sys.byteorder)
+    # lookup tables indexed by the ones count
+    majority = bytes(ord("1") if 2 * c > m else ord("0") for c in range(m + 1))
+    outvoted = [min(c, m - c) for c in range(m + 1)]
+    if width == 1:  # counts are bytes, so bytes.translate does both lookups in C
+        recovered = ones.translate(majority.ljust(256, b"0"))
+        counts = ones.translate(bytes(outvoted).ljust(256, b"\0"))
+    else:
+        column_ones = array(code, ones)
+        recovered = bytes(map(majority.__getitem__, column_ones))
+        counts = array(code, map(outvoted.__getitem__, column_ones))
     return AveragingResult(
-        recovered_bits="".join(recovered),
-        suspected_indices=tuple(suspected),
+        recovered_bits=recovered.decode("ascii"),
+        suspected_indices=tuple(compress(range(n), counts)),
         disagreement_counts=tuple(counts),
     )
 

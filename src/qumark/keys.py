@@ -10,7 +10,6 @@ issued keys would stop locating their watermarks.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import struct
@@ -19,7 +18,7 @@ from itertools import count
 from typing import Iterator
 
 from .errors import TooFewEligiblePositions
-from .qstate import Basis
+from .qstate import Basis, _check_seed
 from .watermark import WatermarkSecret
 
 __all__ = [
@@ -50,9 +49,10 @@ class SecretKey:
 
     @classmethod
     def generate(cls, seed: int | None = None) -> "SecretKey":
-        """Fresh 32-byte key, from system entropy or reproducibly from a seed."""
+        """Fresh 32-byte key, from system entropy or reproducibly from a nonnegative seed."""
         if seed is None:
             return cls(os.urandom(32))
+        _check_seed(seed)
         return cls(random.Random(seed).randbytes(32))
 
 
@@ -101,6 +101,8 @@ class DerivationParams:
 
 def _key_words(key: SecretKey) -> Iterator[int]:
     """Deterministic stream of 64-bit words from a keyed BLAKE2b in counter mode."""
+    import hashlib  # here, not at the top: only index derivation needs it
+
     raw = key.data
     if len(raw) > 64:
         raw = hashlib.blake2b(raw).digest()  # BLAKE2b keys cap at 64 bytes

@@ -126,15 +126,23 @@ class RebitState:
         return _ring_distance(self.phi, other.phi, 180.0) <= ANGLE_TOLERANCE
 
 
+def _check_seed(seed: int | None) -> None:
+    # random.Random seeds with abs(), so -5 would silently replay 5
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 class RandomSource:
     """Seedable stream of uniform draws in [0, 1).
 
     Equal seeds yield equal streams on every platform, which is what makes
-    embed and observe transcripts reproducible. A source is single-consumer:
-    concurrent users must take one source each, or draw order is undefined.
+    embed and observe transcripts reproducible. A negative seed raises
+    ValueError. A source is single-consumer: concurrent users must take one
+    source each, or draw order is undefined.
     """
 
     def __init__(self, seed: int | None = None) -> None:
+        _check_seed(seed)
         self._rng = random.Random(seed)
 
     def draw(self) -> float:

@@ -9,10 +9,10 @@ frequency, a Wilson score interval, and a two-sided exact binomial test.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from statistics import NormalDist
+from itertools import accumulate, compress, repeat
+from operator import add, mul, sub
 
 from .errors import (
     CountExceedsTotal,
@@ -50,6 +50,10 @@ MAX_SAMPLE_SIZE = 100_000
 # Relative slack when comparing probability masses in the two-sided exact
 # test; absorbs log-space roundoff without affecting clear-cut outcomes.
 _PMF_TIE_SLACK = 1e-12
+
+# exp() of a log-mass below about -745 is exactly 0.0; the pmf window stops
+# at this lower floor, which leaves a wide margin for lgamma roundoff.
+_LOG_MASS_FLOOR = -800.0
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,8 @@ def relative_frequency(errors: int, total: int) -> float:
 
 
 def _wilson_bounds(errors: int, total: int, confidence: float) -> tuple[float, float]:
+    from statistics import NormalDist  # here, not at the top: only this rule needs it
+
     z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     phat = errors / total
     z2 = z * z
@@ -141,31 +147,88 @@ def _wilson_bounds(errors: int, total: int, confidence: float) -> tuple[float, f
     return max(0.0, centre - margin), min(1.0, centre + margin)
 
 
-def _binomial_pmf_row(n: int, p: float) -> list[float]:
-    """Binomial(n, p) pmf for k = 0..n, via log-gamma so n = 100000 cannot overflow."""
-    if p == 0.0:
-        return [1.0] + [0.0] * n
-    if p == 1.0:
-        return [0.0] * n + [1.0]
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
+class _IntegerTables:
+    """lgamma(x) and float(x - 1) over one run of consecutive integers x >= 1.
+
+    A pmf window needs lgamma at k+1 and n-k+1 and the factors k and n-k as
+    floats (int * float multiplies by exactly that float). The run grows on
+    demand, so one instance serves both rows of a power probe, and
+    recommended_sample_size keeps one across its probes, whose windows
+    overlap.
+    """
+
+    def __init__(self) -> None:
+        self.first = self.stop = 1
+        self.lgammas: list[float] = []
+        self.counts: list[float] = []
+
+    def cover(self, first: int, stop: int) -> None:
+        """Grow the run to include range(first, stop)."""
+        if not self.lgammas:
+            self.first = self.stop = first
+        if first < self.first:
+            grown = range(first, self.first)
+            self.lgammas[:0] = map(math.lgamma, grown)
+            self.counts[:0] = map(float, range(first - 1, self.first - 1))
+            self.first = first
+        if stop > self.stop:
+            grown = range(self.stop, stop)
+            self.lgammas += map(math.lgamma, grown)
+            self.counts += map(float, range(self.stop - 1, stop - 1))
+            self.stop = stop
+
+
+def _binomial_pmf_window(n: int, p: float, tables: _IntegerTables) -> tuple[int, list[float]]:
+    """Binomial(n, p) pmf as (lo, masses) for k = lo, lo+1, ...: every non-zero mass.
+
+    Each mass is exp(lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) + k*log p +
+    (n-k)*log q), evaluated in that order so it equals the full-row value bit
+    for bit; log-gamma keeps n = 100000 from overflowing. Off the window the
+    log-mass is below _LOG_MASS_FLOOR, so every mass there is exactly 0.0.
+    """
+    if p == 0.0 or p == 1.0:
+        return (n if p else 0), [1.0]
     lg = math.lgamma
     lg_n = lg(n + 1)
-    return [
-        math.exp(lg_n - lg(k + 1) - lg(n - k + 1) + k * log_p + (n - k) * log_q)
-        for k in range(n + 1)
-    ]
+    log_p, log_q = math.log(p), math.log1p(-p)
+
+    def log_mass(k: int) -> float:
+        return lg_n - lg(k + 1) - lg(n - k + 1) + k * log_p + (n - k) * log_q
+
+    # the log-mass is concave in k, so each edge is one bisection away from
+    # the mode, whose mass is at least 1/(n+1)
+    mode = min(n, int((n + 1) * p))
+    lo = bisect_left(range(mode), _LOG_MASS_FLOOR, key=log_mass)
+    hi = bisect_right(range(n + 1), -_LOG_MASS_FLOOR, mode, key=lambda k: -log_mass(k))
+    tables.cover(min(lo + 1, n - hi + 2), max(hi + 1, n - lo + 2))
+    k = slice(lo + 1 - tables.first, hi + 1 - tables.first)
+    rest = slice(n - hi + 2 - tables.first, n - lo + 2 - tables.first)  # n-k+1, in reverse
+    logs = map(sub, repeat(lg_n), tables.lgammas[k])
+    logs = map(sub, logs, tables.lgammas[rest][::-1])
+    logs = map(add, logs, map(mul, tables.counts[k], repeat(log_p)))
+    logs = map(add, logs, map(mul, tables.counts[rest][::-1], repeat(log_q)))
+    return lo, list(map(math.exp, logs))
+
+
+def _binomial_pmf_row(n: int, p: float) -> list[float]:
+    """Binomial(n, p) pmf for k = 0..n: the window, padded with its exact zeros."""
+    lo, masses = _binomial_pmf_window(n, p, _IntegerTables())
+    return [0.0] * lo + masses + [0.0] * (n + 1 - lo - len(masses))
 
 
 def _exact_binomial_p_value(errors: int, total: int, rate: float) -> float:
     """Two-sided exact p-value for errors out of total under Binomial(total, rate).
 
     Minimum-likelihood convention: sum the probability of every outcome no
-    more likely than the observed one.
+    more likely than the observed one. Outcomes off the window add nothing.
+    fsum is correctly rounded, so summing from the largest term down (which
+    keeps its partials few) changes no bit of the result.
     """
-    pmf = _binomial_pmf_row(total, rate)
-    cutoff = pmf[errors] * (1.0 + _PMF_TIE_SLACK)
-    return min(1.0, math.fsum(v for v in pmf if v <= cutoff))
+    lo, masses = _binomial_pmf_window(total, rate, _IntegerTables())
+    at = errors - lo
+    observed = masses[at] if 0 <= at < len(masses) else 0.0
+    cutoff = observed * (1.0 + _PMF_TIE_SLACK)
+    return min(1.0, math.fsum(sorted(filter(cutoff.__ge__, masses), reverse=True)))
 
 
 def decide(errors: int, total: int, expected_pe: float, rule: DecisionRule) -> DecisionOutcome:
@@ -205,17 +268,30 @@ def min_sample_size_literal(pe: float) -> SampleSizeSpec:
         n += 1
 
 
-def _rejection_power(n: int, pe: float, null_rate: float, alpha: float) -> float:
+def _rejection_power(
+    n: int, pe: float, null_rate: float, alpha: float, tables: _IntegerTables | None = None
+) -> float:
     """P[the exact test at level alpha rejects rate pe] when bits flip at null_rate."""
-    pmf0 = _binomial_pmf_row(n, pe)
+    if tables is None:
+        tables = _IntegerTables()
+    lo0, pmf0 = _binomial_pmf_window(n, pe, tables)
+    lo1, pmf1 = _binomial_pmf_window(n, null_rate, tables)
+    hi0, hi1 = lo0 + len(pmf0), lo1 + len(pmf1)
     # the p-value of an outcome is the running mass of the sorted masses up
     # to its own (ties included), so the test rejects exactly the outcomes
-    # below the first sorted mass at which that running mass passes alpha
+    # below the first sorted mass at which that running mass passes alpha;
+    # the zero masses off the window only shift that index, never the mass
     masses = sorted(pmf0)
     kept = bisect_right(list(accumulate(masses)), alpha)
-    threshold = masses[kept] if kept <= n else math.inf
-    pmf1 = _binomial_pmf_row(n, null_rate)
-    return math.fsum(q for p, q in zip(pmf0, pmf1) if p * (1.0 + _PMF_TIE_SLACK) < threshold)
+    threshold = masses[kept] if kept < len(masses) else math.inf
+    # select the null masses the test rejects; every outcome off the pe
+    # window has mass 0 under pe, below any threshold
+    shared_lo = max(lo0, lo1)
+    shared = pmf0[shared_lo - lo0 : max(shared_lo, min(hi0, hi1)) - lo0]
+    selectors = [True] * (min(hi1, lo0) - lo1 if lo0 > lo1 else 0)
+    selectors += map(threshold.__gt__, map(mul, shared, repeat(1.0 + _PMF_TIE_SLACK)))
+    selectors += [True] * (hi1 - max(hi0, lo1) if hi1 > hi0 else 0)
+    return math.fsum(sorted(compress(pmf1, selectors), reverse=True))
 
 
 def recommended_sample_size(pe: float, null_rate: float, confidence: float, power: float) -> int:
@@ -238,9 +314,10 @@ def recommended_sample_size(pe: float, null_rate: float, confidence: float, powe
         raise RatesEqual("pe and null rate are identical, no sample size separates them")
 
     alpha = 1.0 - confidence
+    tables = _IntegerTables()
 
     def achieves(n: int) -> bool:
-        return _rejection_power(n, pe, null_rate, alpha) >= power
+        return _rejection_power(n, pe, null_rate, alpha, tables) >= power
 
     # power climbs with n apart from small discreteness ripples: double to
     # bracket the boundary, bisect, then rescan a short window below

@@ -5,7 +5,11 @@ check the statistical claims: how fast collusion finds the index set, how
 noise rates compose, and which attacks actually strip the watermark.
 """
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from qumark.attacks import (
@@ -59,7 +63,48 @@ def marked_release(plain, indices, mark, embed_seed=0):
     return marked, secret
 
 
+def reference_averaging(copies):
+    """Column-by-column vote, the reference for averaging_attack."""
+    m = len(copies)
+    recovered = []
+    suspected = []
+    counts = []
+    for i, column in enumerate(zip(*(copy.bits for copy in copies))):
+        ones = column.count("1")
+        majority = "1" if 2 * ones > m else "0"
+        recovered.append(majority)
+        counts.append(m - ones if majority == "1" else ones)
+        if 0 < ones < m:
+            suspected.append(i)
+    return AveragingResult(
+        recovered_bits="".join(recovered),
+        suspected_indices=tuple(suspected),
+        disagreement_counts=tuple(counts),
+    )
+
+
+@st.composite
+def colluding_copies(draw):
+    # past 255 copies a one-byte count per position would carry
+    m = draw(st.integers(2, 40) | st.integers(250, 600))
+    n = draw(st.integers(1, 64))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ones_rate = [rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in range(n)]
+    return [
+        obs("".join("1" if rng.random() < rate else "0" for rate in ones_rate))
+        for _ in range(m)
+    ]
+
+
 class TestAveragingAttack:
+    @settings(max_examples=150, deadline=None)
+    @given(colluding_copies())
+    @example([obs("01"), obs("10")])
+    @example([obs("1")] * 256 + [obs("0")] * 255)
+    @example([obs("1")] * 255 + [obs("0")] * 255)
+    def test_equals_the_column_by_column_reference(self, copies):
+        assert averaging_attack(copies) == reference_averaging(copies)
+
     def test_tie_votes_resolve_to_zero(self):
         result = averaging_attack([obs("01"), obs("10")])
         assert result == AveragingResult(

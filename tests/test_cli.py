@@ -8,6 +8,10 @@ or success, 1 reject, 2 usage or format errors.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -453,3 +457,15 @@ class TestMaskedKeygen:
         secret, _ = load_secret(secret_path.read_text())
         diffs = {i for i in range(64) if suspect.bits[i] != reference.bits[i]}
         assert diffs <= set(secret.indices)
+
+
+class TestImportCost:
+    def test_cli_import_leaves_keygen_and_wilson_modules_unloaded(self):
+        # every CLI run imports qumark.cli; hashlib (and its ~4 MB _hashlib)
+        # serves only index derivation and statistics only the Wilson rule
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, qumark.cli; print({'hashlib', 'statistics'} & set(sys.modules))"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "set()"

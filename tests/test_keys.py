@@ -50,6 +50,12 @@ class TestSecretKey:
         assert SecretKey.generate(seed=42) != SecretKey.generate(seed=43)
         assert len(SecretKey.generate(seed=42).data) == 32
 
+    def test_negative_seed_is_refused(self):
+        # random.Random seeds with abs(), so -5 would replay the key of 5
+        with pytest.raises(ValueError):
+            SecretKey.generate(seed=-5)
+        assert len(SecretKey.generate(seed=0).data) == 32
+
     def test_unseeded_generation_draws_fresh_entropy(self):
         first = SecretKey.generate()
         second = SecretKey.generate()

@@ -166,6 +166,12 @@ class TestRandomSource:
         b = RandomSource(2)
         assert [a.draw() for _ in range(10)] != [b.draw() for _ in range(10)]
 
+    def test_negative_seed_is_refused(self):
+        # random.Random seeds with abs(), so -5 would replay the stream of 5
+        with pytest.raises(ValueError):
+            RandomSource(-5)
+        assert 0.0 <= RandomSource(0).draw() < 1.0
+
     def test_unseeded_draws_stay_in_range(self):
         rng = RandomSource()
         assert all(0.0 <= rng.draw() < 1.0 for _ in range(100))

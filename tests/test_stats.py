@@ -354,3 +354,76 @@ class TestRejectionPower:
     @example((0, 0.5, 0.0, 0.5))
     def test_equals_the_outcome_by_outcome_reference(self, case):
         assert stats._rejection_power(*case) == reference_rejection_power(*case)
+
+
+def reference_pmf_row(n, p):
+    """The full-row pmf comprehension, the reference for stats._binomial_pmf_row."""
+    if p == 0.0:
+        return [1.0] + [0.0] * n
+    if p == 1.0:
+        return [0.0] * n + [1.0]
+    log_p = math.log(p)
+    log_q = math.log1p(-p)
+    lg = math.lgamma
+    lg_n = lg(n + 1)
+    return [
+        math.exp(lg_n - lg(k + 1) - lg(n - k + 1) + k * log_p + (n - k) * log_q)
+        for k in range(n + 1)
+    ]
+
+
+def reference_p_value(errors, total, rate):
+    """The full-row p-value, the reference for stats._exact_binomial_p_value."""
+    pmf = reference_pmf_row(total, rate)
+    cutoff = pmf[errors] * (1.0 + stats._PMF_TIE_SLACK)
+    return min(1.0, math.fsum(v for v in pmf if v <= cutoff))
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+class TestPmfWindow:
+    """The window route gives the full-row floats bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3000), UNIT)
+    @example(3000, 1e-300)
+    @example(3000, 1.0 - 1e-16)
+    @example(3000, 5e-324)
+    @example(2999, 0.5)
+    @example(0, 0.3)
+    def test_row_equals_the_full_row(self, n, p):
+        assert stats._binomial_pmf_row(n, p) == reference_pmf_row(n, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3000), UNIT, st.floats(0.0, 1.0))
+    @example(3000, 1e-300, 0.0)
+    @example(3000, 1.0 - 1e-16, 1.0)
+    @example(2000, 0.5, 0.0)  # an outcome off the window: p-value 0
+    @example(3000, 0.5, 503 / 3000)  # a subnormal mass: the slack leaves the cutoff equal to it
+    def test_p_value_equals_the_full_row(self, total, rate, where):
+        errors = round(where * total)
+        assert stats._exact_binomial_p_value(errors, total, rate) == reference_p_value(
+            errors, total, rate
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2000), UNIT), min_size=1, max_size=6))
+    @example([(2000, 0.5), (100, 0.3)])  # grows the table downward
+    @example([(100, 0.3), (2000, 0.5)])  # and upward
+    def test_one_table_across_rows_changes_no_bit(self, rows):
+        # recommended_sample_size keeps one lgamma table across its probes;
+        # the table grows in both directions as rows of other sizes arrive
+        tables = stats._IntegerTables()
+        for n, p in rows:
+            fresh = stats._binomial_pmf_window(n, p, stats._IntegerTables())
+            assert stats._binomial_pmf_window(n, p, tables) == fresh
+
+    @pytest.mark.parametrize("n", [15002, 100_000])
+    @pytest.mark.parametrize("p", [0.5, 0.48, 1e-9])
+    def test_pinned_large_rows(self, n, p):
+        row = stats._binomial_pmf_row(n, p)
+        assert row == reference_pmf_row(n, p)
+        lo, masses = stats._binomial_pmf_window(n, p, stats._IntegerTables())
+        assert any(masses) and row[:lo] == [0.0] * lo
+        assert row[lo + len(masses):] == [0.0] * (n + 1 - lo - len(masses))
