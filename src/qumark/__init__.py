@@ -4,105 +4,25 @@ A secret subset of a message's qubits is rewritten in a basis dissimilar to
 the writing basis. Anyone reading the message sees those positions flip at a
 predictable rate, and only the holder of the index set can check that the
 flips sit exactly where, and exactly as often as, the mark dictates.
+
+The package re-exports the public names of every library module, as each
+module's own __all__ declares them. The command line, qumark.cli, stays out
+so that importing the library loads no argparse.
 """
 
-from .attacks import (
-    AttackOutcome,
-    AveragingResult,
-    averaging_attack,
-    noise_attack,
-    run_attack_report,
-    shift_attack,
-)
-from .carrier import (
-    CarrierPayload,
-    ImageMeta,
-    bits_to_bytes,
-    bytes_to_bits,
-    emit,
-    ingest_pgm,
-    ingest_raw,
-)
+from . import attacks, carrier, fileformats, keys, qstate, stats, watermark
+from .attacks import *  # noqa: F403
+from .carrier import *  # noqa: F403
 from .errors import QumarkError
-from .keys import DerivationParams, SecretKey, derive_indices, generate_secret
-from .qstate import (
-    ANGLE_TOLERANCE,
-    Basis,
-    RandomSource,
-    RebitState,
-    encode_bit,
-    expected_error_probability,
-    measure,
-    outcome_probability,
-)
-from .stats import (
-    DecisionOutcome,
-    DecisionRule,
-    SampleSizeSpec,
-    decide,
-    min_sample_size_literal,
-    recommended_sample_size,
-    relative_frequency,
-)
-from .watermark import (
-    ObservedMessage,
-    QuantumMessage,
-    SmallSampleWarning,
-    VerificationReport,
-    WatermarkSecret,
-    WeakWatermarkWarning,
-    build_message,
-    classical_flip_embed,
-    embed,
-    observe,
-    verify,
-)
+from .fileformats import *  # noqa: F403
+from .keys import *  # noqa: F403
+from .qstate import *  # noqa: F403
+from .stats import *  # noqa: F403
+from .watermark import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANGLE_TOLERANCE",
-    "AttackOutcome",
-    "AveragingResult",
-    "Basis",
-    "CarrierPayload",
-    "DecisionOutcome",
-    "DecisionRule",
-    "DerivationParams",
-    "ImageMeta",
-    "ObservedMessage",
-    "QuantumMessage",
-    "QumarkError",
-    "RandomSource",
-    "RebitState",
-    "SampleSizeSpec",
-    "SecretKey",
-    "SmallSampleWarning",
-    "VerificationReport",
-    "WatermarkSecret",
-    "WeakWatermarkWarning",
-    "averaging_attack",
-    "bits_to_bytes",
-    "build_message",
-    "bytes_to_bits",
-    "classical_flip_embed",
-    "decide",
-    "derive_indices",
-    "emit",
-    "embed",
-    "encode_bit",
-    "expected_error_probability",
-    "generate_secret",
-    "ingest_pgm",
-    "ingest_raw",
-    "measure",
-    "min_sample_size_literal",
-    "noise_attack",
-    "observe",
-    "outcome_probability",
-    "recommended_sample_size",
-    "relative_frequency",
-    "run_attack_report",
-    "shift_attack",
-    "verify",
-]
+__all__ = ["QumarkError"]
+for _module in (attacks, carrier, fileformats, keys, qstate, stats, watermark):
+    __all__ += _module.__all__
+del _module

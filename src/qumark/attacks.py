@@ -23,7 +23,9 @@ from .errors import (
     TooFewCopies,
 )
 from .qstate import RandomSource
-from .watermark import ObservedMessage, VerificationReport, WatermarkSecret, _flip_bits, verify
+from .watermark import (
+    _BITS_TO_CODES, ObservedMessage, VerificationReport, WatermarkSecret, _flip_bits, verify
+)
 
 __all__ = [
     "AveragingResult",
@@ -33,8 +35,6 @@ __all__ = [
     "shift_attack",
     "run_attack_report",
 ]
-
-_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def averaging_attack(copies: Sequence[ObservedMessage]) -> AveragingResult:
     total = 0
     for copy in copies:
         digits = bytearray(n * width)
-        digits[low_bytes] = copy.bits.encode("ascii").translate(_BIT_DIGITS)
+        digits[low_bytes] = copy.bits.encode("ascii").translate(_BITS_TO_CODES)
         total += int.from_bytes(digits, sys.byteorder)
     ones = total.to_bytes(n * width, sys.byteorder)
     # lookup tables indexed by the ones count

@@ -44,13 +44,18 @@ def bytes_to_bits(data: bytes) -> str:
     return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
 
 
+def _check_bits(bits: str) -> None:
+    """Raise ValueError unless every character of bits is '0' or '1'."""
+    # int(_, 2) would also accept a 0b prefix, underscores and whitespace
+    if bits.encode("ascii", "replace").translate(None, b"01"):
+        raise ValueError("bits may contain only '0' and '1'")
+
+
 def bits_to_bytes(bits: str) -> bytes:
     """Inverse of bytes_to_bits; the length must be a whole number of bytes."""
     if len(bits) % 8:
         raise ValueError(f"bit length {len(bits)} is not a multiple of 8")
-    # int(_, 2) would also accept a 0b prefix, underscores and whitespace
-    if bits.encode("ascii", "replace").translate(None, b"01"):
-        raise ValueError("bits may contain only '0' and '1'")
+    _check_bits(bits)
     return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
 
@@ -164,6 +169,8 @@ def emit(payload: CarrierPayload, meta: ImageMeta | None = None) -> bytes:
         return bits_to_bytes(payload.bits)
     if meta is None:
         raise MissingMeta("PGM emission needs the ImageMeta from ingestion")
+    if meta.max_value != 255:
+        raise UnsupportedMaxval(f"only 8-bit images are supported, maxval is {meta.max_value}")
     pixels = bits_to_bytes(payload.bits)
     if len(pixels) != meta.width * meta.height:
         raise ValueError(

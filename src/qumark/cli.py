@@ -48,13 +48,6 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -143,7 +136,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     if args.out == "-":
         raise ValueError("embed writes two artifacts and needs --out FILE")
     payload = _ingest_payload(_read_bytes(args.infile), args.format)
-    secret, _recorded_pe = fileformats.load_secret(_read_text(args.secret))
+    secret, _recorded_pe = fileformats.load_secret(_read_bytes(args.secret))
     writing = Basis(args.writing_basis)
     message = build_message(payload.bits, writing)
     marked = embed(message, secret, RandomSource(_seed_from(args)), strict=args.strict)
@@ -155,7 +148,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_observe(args: argparse.Namespace) -> int:
-    message = fileformats.load_quantum_message(_read_text(args.infile))
+    message = fileformats.load_quantum_message(_read_bytes(args.infile))
     basis = message.writing_basis if args.basis is None else Basis(args.basis)
     observation = observe(message, basis, RandomSource(_seed_from(args)))
     _write_text(args.out, fileformats.dump_observation(observation))
@@ -166,13 +159,13 @@ def _load_audit(
     args: argparse.Namespace,
 ) -> tuple[ObservedMessage, WatermarkSecret, stats.DecisionRule]:
     """The reference, secret and decision rule that verify and every attack read."""
-    reference = fileformats.load_observation(_read_text(args.reference))
-    secret, _recorded_pe = fileformats.load_secret(_read_text(args.secret))
+    reference = fileformats.load_observation(_read_bytes(args.reference))
+    secret, _recorded_pe = fileformats.load_secret(_read_bytes(args.secret))
     return reference, secret, _parse_rule(args.rule)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    suspect = fileformats.load_observation(_read_text(args.suspect))
+    suspect = fileformats.load_observation(_read_bytes(args.suspect))
     reference, secret, rule = _load_audit(args)
     report = verify(suspect, reference, secret, rule)
     _print_report(report, rule)
@@ -193,20 +186,20 @@ def _run_attack(args: argparse.Namespace, observation: ObservedMessage, audit, a
 
 
 def _cmd_attack_noise(args: argparse.Namespace) -> int:
-    original = fileformats.load_observation(_read_text(args.infile))
+    original = fileformats.load_observation(_read_bytes(args.infile))
     audit = _load_audit(args)
     rng = RandomSource(_seed_from(args))
     return _run_attack(args, original, audit, lambda obs: noise_attack(obs, args.rate, rng))
 
 
 def _cmd_attack_shift(args: argparse.Namespace) -> int:
-    original = fileformats.load_observation(_read_text(args.infile))
+    original = fileformats.load_observation(_read_bytes(args.infile))
     audit = _load_audit(args)
     return _run_attack(args, original, audit, lambda obs: shift_attack(obs, args.offset, args.pad))
 
 
 def _cmd_attack_averaging(args: argparse.Namespace) -> int:
-    copies = [fileformats.load_observation(_read_text(path)) for path in args.copies]
+    copies = [fileformats.load_observation(_read_bytes(path)) for path in args.copies]
     audit = _load_audit(args)
     result = averaging_attack(copies)
     recovered = ObservedMessage(

@@ -59,10 +59,25 @@ def _dump(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _load(text: str | bytes, expected_version: int, kind: str) -> dict:
+def _decode(text: str | bytes, kind: str) -> str:
+    """Bytes decoded as json.loads decodes them: UTF-8, -16 or -32, with or without a BOM.
+
+    Each loader rebinds its argument to the result. A caller that hands its
+    bytes over, as the CLI does, then has them freed before the parse, which
+    is the peak of a load: it holds the text and every parsed object at once.
+    """
+    if not isinstance(text, (bytes, bytearray)):
+        return text
+    try:
+        return text.decode(json.detect_encoding(text), "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{kind} file is not valid JSON: {exc}") from None
+
+
+def _load(text: str, expected_version: int, kind: str) -> dict:
     try:
         document = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, undecodable bytes, or an over-long integer
+    except ValueError as exc:  # a JSONDecodeError or an over-long integer
         raise MalformedFile(f"{kind} file is not valid JSON: {exc}") from None
     except RecursionError:
         raise MalformedFile(f"{kind} file nests too deeply to parse") from None
@@ -104,6 +119,7 @@ def dump_secret(secret: WatermarkSecret, expected_pe: float) -> str:
 
 
 def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
+    text = _decode(text, "secret")
     document = _load(text, SECRET_FORMAT_VERSION, "secret")
     indices = _field(document, "indices", "secret")
     if not isinstance(indices, list) or not set(map(type, indices)) <= {int}:
@@ -143,6 +159,7 @@ def dump_quantum_message(message: QuantumMessage) -> str:
 
 
 def load_quantum_message(text: str | bytes) -> QuantumMessage:
+    text = _decode(text, "message")
     document = _load(text, MESSAGE_FORMAT_VERSION, "message")
     theta = _parse_angle(
         _field(document, "writing_basis_theta", "message"), "writing_basis_theta", 90.0
@@ -181,6 +198,7 @@ def dump_observation(observation: ObservedMessage) -> str:
 
 
 def load_observation(text: str | bytes) -> ObservedMessage:
+    text = _decode(text, "observation")
     document = _load(text, OBSERVATION_FORMAT_VERSION, "observation")
     theta = _parse_angle(
         _field(document, "observation_basis_theta", "observation"),

@@ -41,7 +41,7 @@ def _ring_distance(a: float, b: float, period: float) -> float:
 
 
 def _fold(delta: float) -> float:
-    """Reduce an angle difference to [0, 90]; cos2/sin2 only need that range.
+    """Reduce an angle difference to [0, 90]; the Born rule only needs that range.
 
     Differences within ANGLE_TOLERANCE of a quarter turn snap onto it, the
     same identification the equality operators use. Encoding a 1 adds 90.0
@@ -56,26 +56,6 @@ def _fold(delta: float) -> float:
     if d >= 90.0 - ANGLE_TOLERANCE:
         return 90.0
     return d
-
-
-def _cos2(delta: float) -> float:
-    d = _fold(delta)
-    # exact quarter turns get exact probabilities, so eigenstates of the
-    # measured basis behave deterministically for every rng
-    if d == 0.0:
-        return 1.0
-    if d == 90.0:
-        return 0.0
-    return math.cos(math.radians(d)) ** 2
-
-
-def _sin2(delta: float) -> float:
-    d = _fold(delta)
-    if d == 0.0:
-        return 0.0
-    if d == 90.0:
-        return 1.0
-    return math.sin(math.radians(d)) ** 2
 
 
 def _check_bit(bit: int) -> int:
@@ -162,8 +142,13 @@ def encode_bit(bit: int, basis: Basis) -> RebitState:
 def outcome_probability(state: RebitState, basis: Basis, bit: int) -> float:
     """Born-rule probability of reading bit when measuring state in basis."""
     _check_bit(bit)
-    delta = state.phi - basis.theta
-    return _sin2(delta) if bit else _cos2(delta)
+    d = _fold(state.phi - basis.theta)
+    # exact quarter turns get exact probabilities, so eigenstates of the
+    # measured basis behave deterministically for every rng
+    if d == 0.0 or d == 90.0:
+        return 1.0 if (d == 90.0) == bool(bit) else 0.0
+    radians = math.radians(d)
+    return (math.sin(radians) if bit else math.cos(radians)) ** 2
 
 
 def measure(state: RebitState, basis: Basis, rng: RandomSource) -> int:

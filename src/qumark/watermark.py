@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, MutableSequence, Sequence
 
 from . import stats
+from .carrier import _check_bits
 from .errors import (
     BasisMismatch,
     BasisNotDissimilar,
@@ -64,14 +65,12 @@ class WeakWatermarkWarning(UserWarning):
     """The basis pair flips so rarely the mark is hard to tell from no mark."""
 
 
-def _check_bitstring(bits: str) -> str:
+def _check_bitstring(bits: str) -> None:
     if not isinstance(bits, str):
         raise TypeError(f"bits must be a str of '0'/'1', got {type(bits).__name__}")
     if not bits:
         raise EmptyMessage("message bits must be nonempty")
-    if bits.encode("ascii", "replace").translate(None, b"01"):
-        raise ValueError("bits may contain only '0' and '1'")
-    return bits
+    _check_bits(bits)
 
 
 def _check_indices(indices: Sequence[int], length: int) -> None:
@@ -104,7 +103,7 @@ def _flip_kernel(
 
 
 # '0' and '1' as ASCII codes, the code tables that keep or flip them, and
-# the map from ASCII bits to the codes of a two-entry palette
+# the map from ASCII bits to 0 and 1, the codes of a two-entry palette
 _ZERO, _ONE = b"01"
 _BITS_TO_CODES = bytes.maketrans(b"01", b"\x00\x01")
 _KEEP = {_ZERO: _ZERO, _ONE: _ONE}

@@ -174,6 +174,13 @@ class TestEmit:
         with pytest.raises(MissingMeta):
             emit(payload)
 
+    @pytest.mark.parametrize("max_value", [1, 254, 256, 65535])
+    def test_only_8_bit_images_are_emitted(self, max_value):
+        # ingest_pgm refuses any other maxval, so emit must not write one
+        payload, _ = ingest_pgm(pgm(3, 2, range(6)))
+        with pytest.raises(UnsupportedMaxval):
+            emit(payload, ImageMeta(width=3, height=2, max_value=max_value))
+
     def test_meta_must_match_the_payload(self):
         payload, _ = ingest_pgm(pgm(2, 2, range(4)))
         with pytest.raises(ValueError):

@@ -17,6 +17,8 @@ import pytest
 
 from qumark import cli
 from qumark.fileformats import load_observation, load_secret
+from qumark.stats import DecisionRule
+from qumark.watermark import verify
 
 PAYLOAD = b"\x65"  # bits 01100101
 
@@ -248,6 +250,18 @@ class TestErrorExits:
         assert cli.main(["observe", "--in", str(deep)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_undecodable_secret_names_the_secret_file(self, tmp_path, capsys):
+        paths = run_pipeline(tmp_path)
+        paths["secret"].write_bytes(b'{"version": 1, "indices": [\x80]}')
+        code = cli.main([
+            "verify", "--suspect", str(paths["suspect"]),
+            "--reference", str(paths["reference"]), "--secret", str(paths["secret"]),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: secret file is not valid JSON: ")
+        assert err.count("\n") == 1
+
     def test_unexpected_exception_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
         paths = run_pipeline(tmp_path)
 
@@ -263,6 +277,35 @@ class TestErrorExits:
             cli.main([])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+class TestArtifactBytes:
+    """The CLI reads every artifact as the bytes load_* accepts."""
+
+    def test_secret_with_a_utf8_bom_verifies_like_load_secret(self, tmp_path, capsys):
+        paths = run_pipeline(tmp_path)
+        data = b"\xef\xbb\xbf" + paths["secret"].read_bytes()
+        bom_secret = tmp_path / "bom-secret.json"
+        bom_secret.write_bytes(data)
+        secret, _ = load_secret(data)
+        report = verify(
+            load_observation(paths["suspect"].read_bytes()),
+            load_observation(paths["reference"].read_bytes()),
+            secret,
+            DecisionRule.fixed(0.25),
+        )
+        outputs = []
+        for secret_path in (paths["secret"], bom_secret):
+            code = cli.main([
+                "verify", "--suspect", str(paths["suspect"]),
+                "--reference", str(paths["reference"]),
+                "--secret", str(secret_path), "--rule", "fixed:0.25",
+            ])
+            assert code == (0 if report.accepted else 1)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert f"errors: {report.error_count}\n" in outputs[1]
+        assert f"decision: {report.decision}\n" in outputs[1]
 
 
 AUDIT_COMMANDS = {

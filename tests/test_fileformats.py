@@ -6,6 +6,8 @@ mis-versioned input must fail loudly instead of being repaired.
 """
 
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from qumark.errors import MalformedFile, UnsupportedVersion
 from qumark.fileformats import (
+    _decode,
     dump_observation,
     dump_quantum_message,
     dump_secret,
@@ -21,7 +24,7 @@ from qumark.fileformats import (
     load_secret,
 )
 from qumark.qstate import Basis, RebitState
-from qumark.watermark import ObservedMessage, QuantumMessage, WatermarkSecret
+from qumark.watermark import ObservedMessage, QuantumMessage, WatermarkSecret, build_message
 
 SECRET = WatermarkSecret(
     indices=(0, 2, 6, 7),
@@ -294,3 +297,56 @@ class TestObservationFormat:
             load_observation(mutate(dump_observation(OBSERVATION), bits="@@@"))
         with pytest.raises(MalformedFile):
             load_observation(mutate(dump_observation(OBSERVATION), bits=99))
+
+
+# every encoding json.loads detects in bytes, with and without a BOM
+ENCODINGS = [
+    "utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32", "utf-32-le", "utf-32-be",
+]
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_bytes_in_any_json_encoding_load_like_the_text(kind, encoding):
+    load, text = FORMATS[kind]
+    assert load(text.encode(encoding)) == load(text)
+
+
+def json_outcome(load, value):
+    try:
+        return repr(load(value))
+    except (ValueError, MalformedFile):
+        return "refused"
+
+
+# JSON values, lone surrogates among their strings, in any of those encodings
+ENCODED_JSON = st.tuples(
+    JSON_VALUES | st.text(st.characters(categories=["Cs", "Ll"])), st.sampled_from(ENCODINGS)
+).map(lambda pair: json.dumps(pair[0], ensure_ascii=False).encode(pair[1], "surrogatepass"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary() | ENCODED_JSON)
+def test_bytes_decode_as_json_loads_decodes_them(raw):
+    assert json_outcome(lambda b: json.loads(_decode(b, "test")), raw) == json_outcome(
+        json.loads, raw
+    )
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="the caller keeps its arguments alive")
+def test_bytes_handed_to_a_loader_are_freed_before_the_parse():
+    text = dump_quantum_message(build_message("01" * 50_000, Basis(0.0)))
+
+    def peak_of_load(make):
+        tracemalloc.start()
+        try:
+            load_quantum_message(make())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    from_text = peak_of_load(lambda: text)  # the text itself is allocated untraced
+    from_bytes = peak_of_load(text.encode)
+    # the decoded text adds its size to the parse's peak; bytes held through
+    # the parse would add their size a second time
+    assert from_bytes < from_text + 1.5 * len(text)

@@ -3,12 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qumark.qstate import (
     ANGLE_TOLERANCE,
     Basis,
     RandomSource,
     RebitState,
+    _fold,
     encode_bit,
     expected_error_probability,
     measure,
@@ -16,6 +19,37 @@ from qumark.qstate import (
 )
 
 THETA_GRID = [0.0, 12.3456, 30.0, 45.0, 60.0, 77.7, 89.999]
+
+
+# The Born rule as two functions, one per outcome, as the package computed
+# it before outcome_probability took both over; kept as the reference that
+# outcome_probability must match bit for bit.
+def reference_cos2(delta):
+    d = _fold(delta)
+    if d == 0.0:
+        return 1.0
+    if d == 90.0:
+        return 0.0
+    return math.cos(math.radians(d)) ** 2
+
+
+def reference_sin2(delta):
+    d = _fold(delta)
+    if d == 0.0:
+        return 0.0
+    if d == 90.0:
+        return 1.0
+    return math.sin(math.radians(d)) ** 2
+
+
+FINITE_ANGLES = st.floats(allow_nan=False, allow_infinity=False)
+# (phi, theta) whose difference lies within twice the snapping tolerance
+# of a quarter turn, on both sides of where _fold snaps
+NEAR_SNAP = st.tuples(
+    st.floats(0.0, 90.0, exclude_max=True),
+    st.sampled_from([0.0, 90.0, 180.0, -90.0]),
+    st.floats(-2 * ANGLE_TOLERANCE, 2 * ANGLE_TOLERANCE),
+).map(lambda t: (t[0] + t[1] + t[2], t[0]))
 
 
 class TestAngleReduction:
@@ -98,6 +132,14 @@ class TestOutcomeProbability:
     def test_thirty_degree_offset(self):
         assert outcome_probability(RebitState(30.0), Basis(0.0), 1) == pytest.approx(0.25, abs=1e-12)
         assert outcome_probability(RebitState(30.0), Basis(0.0), 0) == pytest.approx(0.75, abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.tuples(FINITE_ANGLES, FINITE_ANGLES), NEAR_SNAP))
+    def test_matches_the_per_outcome_reference(self, angles):
+        state, basis = RebitState(angles[0]), Basis(angles[1])
+        delta = state.phi - basis.theta
+        assert outcome_probability(state, basis, 0) == reference_cos2(delta)
+        assert outcome_probability(state, basis, 1) == reference_sin2(delta)
 
     def test_outcomes_normalize(self):
         rng = RandomSource(90210)
