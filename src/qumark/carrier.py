@@ -79,11 +79,21 @@ class CarrierPayload:
 
 @dataclass(frozen=True)
 class ImageMeta:
-    """Dimensions of an ingested 8-bit greyscale image."""
+    """Dimensions of an 8-bit greyscale image, as emit writes and ingest_pgm reads them."""
 
     width: int
     height: int
     max_value: int = 255
+
+    def __post_init__(self) -> None:
+        if not all(type(v) is int for v in (self.width, self.height, self.max_value)):
+            raise TypeError(f"image width, height and maxval must be int, got {self}")
+        if self.width < 1 or self.height < 1:
+            raise MalformedHeader(
+                f"image dimensions must be positive, got {self.width}x{self.height}"
+            )
+        if self.max_value != 255:
+            raise UnsupportedMaxval(f"only 8-bit images are supported, maxval is {self.max_value}")
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -135,12 +145,9 @@ def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
         except ValueError:
             raise MalformedHeader(f"{name} is not an integer: {token!r}") from None
     width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise MalformedHeader(f"image dimensions must be positive, got {width}x{height}")
     if not 1 <= maxval <= 65535:
         raise MalformedHeader(f"maxval {maxval} is outside the legal range")
-    if maxval != 255:
-        raise UnsupportedMaxval(f"only 8-bit images are supported, maxval is {maxval}")
+    meta = ImageMeta(width=width, height=height, max_value=maxval)
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise MalformedHeader("missing single whitespace before pixel data")
     pos += 1
@@ -155,7 +162,7 @@ def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
         eligibility_mask="00000001" * expected,
         format_tag=PGM_LSB,
     )
-    return payload, ImageMeta(width=width, height=height, max_value=maxval)
+    return payload, meta
 
 
 def emit(payload: CarrierPayload, meta: ImageMeta | None = None) -> bytes:
@@ -169,8 +176,6 @@ def emit(payload: CarrierPayload, meta: ImageMeta | None = None) -> bytes:
         return bits_to_bytes(payload.bits)
     if meta is None:
         raise MissingMeta("PGM emission needs the ImageMeta from ingestion")
-    if meta.max_value != 255:
-        raise UnsupportedMaxval(f"only 8-bit images are supported, maxval is {meta.max_value}")
     pixels = bits_to_bytes(payload.bits)
     if len(pixels) != meta.width * meta.height:
         raise ValueError(

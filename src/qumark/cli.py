@@ -111,11 +111,7 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
         payload, _meta = carrier.ingest_pgm(_read_bytes(args.mask_from))
         mask = payload.eligibility_mask
         if length is None:
-            length = len(payload.bits)
-        elif length != len(payload.bits):
-            raise ValueError(
-                f"--message-len {length} does not match the mask source ({len(payload.bits)} bits)"
-            )
+            length = len(mask)
     if length is None:
         raise ValueError("--message-len is required unless --mask-from provides it")
     writing = Basis(args.writing_basis)

@@ -161,6 +161,7 @@ def dump_quantum_message(message: QuantumMessage) -> str:
 def load_quantum_message(text: str | bytes) -> QuantumMessage:
     text = _decode(text, "message")
     document = _load(text, MESSAGE_FORMAT_VERSION, "message")
+    del text  # the JSON text can run to megabytes; free it before the codes are built
     theta = _parse_angle(
         _field(document, "writing_basis_theta", "message"), "writing_basis_theta", 90.0
     )
@@ -168,18 +169,13 @@ def load_quantum_message(text: str | bytes) -> QuantumMessage:
     if not isinstance(states, list):
         raise MalformedFile("message states must be a list")
     try:
-        code_of = dict.fromkeys(states)
+        code_of = {text: code for code, text in enumerate(dict.fromkeys(states))}
     except TypeError:
         raise MalformedFile("state phi must be a fixed-point string") from None
-    # each distinct string is parsed once; strings naming one angle share a code
-    palette: dict[float, int] = {}
-    for text in code_of:
-        phi = RebitState(_parse_angle(text, "state phi", 180.0)).phi
-        code_of[text] = palette.setdefault(phi, len(palette))
+    # each distinct string is parsed once
+    palette = [RebitState(_parse_angle(text, "state phi", 180.0)) for text in code_of]
     try:
-        return QuantumMessage.from_palette(
-            map(RebitState, palette), map(code_of.__getitem__, states), Basis(theta)
-        )
+        return QuantumMessage.from_palette(palette, map(code_of.__getitem__, states), Basis(theta))
     except ValueError as exc:
         raise MalformedFile(f"message file holds an invalid message: {exc}") from None
 

@@ -126,13 +126,21 @@ def derive_indices(key: SecretKey, params: DerivationParams) -> tuple[int, ...]:
     A partial Fisher-Yates shuffle over the eligible positions, driven by the
     key stream; the result is returned sorted. Without the key the selection
     is computationally indistinguishable from a uniform random subset.
+    Only the entries the shuffle moves are stored, so without a mask the
+    time and memory grow with mark_count, not with message_length.
     """
-    pool = params.eligible_positions()
+    if params.eligibility_mask is None:
+        pool = range(params.message_length)
+    else:
+        pool = params.eligible_positions()
+    moved: dict[int, int] = {}  # pool position -> the entry the shuffle put there
+    chosen = []
     words = _key_words(key)
     for i in range(params.mark_count):
         j = i + _below(words, len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return tuple(sorted(pool[: params.mark_count]))
+        chosen.append(moved.get(j, pool[j]))
+        moved[j] = moved.get(i, pool[i])
+    return tuple(sorted(chosen))
 
 
 def generate_secret(key: SecretKey, params: DerivationParams, mark_basis: Basis) -> WatermarkSecret:

@@ -260,12 +260,7 @@ def min_sample_size_literal(pe: float) -> SampleSizeSpec:
     """
     if not 0.0 <= pe <= 1.0:
         raise InvalidProbability(f"pe must be in [0, 1], got {pe}")
-    n = 1
-    while True:
-        for a in range(n + 1):
-            if a / n >= pe:
-                return SampleSizeSpec(a=a, b=n - a, n=n)
-        n += 1
+    return SampleSizeSpec(a=0, b=1, n=1) if pe == 0 else SampleSizeSpec(a=1, b=0, n=1)
 
 
 def _rejection_power(

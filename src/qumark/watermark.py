@@ -121,7 +121,8 @@ def _flip_bits(bits: str, positions: Iterable[int], rate: float, rng: RandomSour
 class QuantumMessage:
     """Ordered rebit states plus the basis the unmarked positions are written in.
 
-    Each distinct state is stored once in palette, and each position holds
+    Each distinct angle is stored once in palette, since entries with equal
+    angles are merged when a message is built, and each position holds
     the palette code of its state: bytes while the palette has at most 256
     entries, array('I') above that. states expands the codes into one
     RebitState per position. Equality compares position by position with
@@ -133,9 +134,8 @@ class QuantumMessage:
     writing_basis: Basis
 
     def __init__(self, states: Iterable[RebitState], writing_basis: Basis) -> None:
-        code_of: dict[float, int] = {}
-        codes = [code_of.setdefault(state.phi, len(code_of)) for state in states]
-        self._set(tuple(map(RebitState, code_of)), codes, writing_basis)
+        states = tuple(states)
+        self._set(states, range(len(states)), writing_basis)
 
     @classmethod
     def from_palette(
@@ -152,6 +152,12 @@ class QuantumMessage:
             raise EmptyMessage("a quantum message needs at least one qubit")
         if max(codes) >= len(palette):
             raise IndexOutOfRange(f"palette codes must lie in [0, {len(palette)})")
+        # the first entry with an angle keeps its code, later ones map onto it
+        code_of: dict[float, int] = {}
+        merged = [code_of.setdefault(state.phi, len(code_of)) for state in palette]
+        if len(code_of) < len(palette):
+            palette = tuple(map(RebitState, code_of))
+            return self._set(palette, map(merged.__getitem__, codes), writing_basis)
         object.__setattr__(self, "palette", palette)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "writing_basis", writing_basis)
@@ -274,20 +280,12 @@ def embed(
             stacklevel=2,
         )
     # a measured qubit reads 0 with P(read 0) and is then rewritten as the
-    # marking basis's eigenstate of what it read
-    palette = list(message.palette)
-    phis = [s.phi for s in palette]
-    marked = []
-    for bit in (0, 1):
-        state = encode_bit(bit, secret.mark_basis)
-        if state.phi not in phis:
-            phis.append(state.phi)
-            palette.append(state)
-        marked.append(phis.index(state.phi))
+    # marking basis's eigenstate of what it read, code size or size + 1
     size = len(message.palette)
+    palette = message.palette + (encode_bit(0, secret.mark_basis), encode_bit(1, secret.mark_basis))
     read0 = [outcome_probability(s, message.writing_basis, 0) for s in message.palette]
     codes = list(message.codes)
-    _flip_kernel(codes, secret.indices, read0, [marked[0]] * size, [marked[1]] * size, rng)
+    _flip_kernel(codes, secret.indices, read0, [size] * size, [size + 1] * size, rng)
     return QuantumMessage.from_palette(palette, codes, message.writing_basis)
 
 

@@ -181,6 +181,30 @@ class TestEmit:
         with pytest.raises(UnsupportedMaxval):
             emit(payload, ImageMeta(width=3, height=2, max_value=max_value))
 
+    def test_every_meta_that_constructs_reads_back(self):
+        # ImageMeta owns the header rule, so emit can only write what ingest_pgm reads
+        for width in range(-3, 9):
+            for height in range(-3, 9):
+                for max_value in (0, 1, 254, 255, 256, 65535, 65536):
+                    try:
+                        meta = ImageMeta(width=width, height=height, max_value=max_value)
+                    except (MalformedHeader, UnsupportedMaxval):
+                        assert width < 1 or height < 1 or max_value != 255
+                        continue
+                    pixels = width * height
+                    payload = CarrierPayload(
+                        bits=bytes_to_bits(bytes(range(pixels))),
+                        eligibility_mask="00000001" * pixels,
+                        format_tag=PGM_LSB,
+                    )
+                    assert ingest_pgm(emit(payload, meta)) == (payload, meta)
+
+    @pytest.mark.parametrize("fields", [(2.5, 2), (5, 1, 255.0), (True, 5)])
+    def test_meta_fields_must_be_int(self, fields):
+        # 2.5 * 2 and True * 5 both count 5 pixels, but no header holds them
+        with pytest.raises(TypeError):
+            ImageMeta(*fields)
+
     def test_meta_must_match_the_payload(self):
         payload, _ = ingest_pgm(pgm(2, 2, range(4)))
         with pytest.raises(ValueError):

@@ -476,6 +476,25 @@ class TestMaskedKeygen:
         assert code == 2
         capsys.readouterr()
 
+    def test_length_mismatch_is_reported_by_the_derivation(self, tmp_path, capsys):
+        image = self._pgm(tmp_path)
+        out = tmp_path / "s.json"
+        code = cli.main(["keygen", "--mask-from", str(image), "--message-len", "32",
+                         "--count", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mask length 64 does not match message length 32"
+        ]
+        assert not out.exists()
+
+    def test_length_defaults_to_the_mask_source(self, tmp_path):
+        image = self._pgm(tmp_path)
+        derived, explicit = tmp_path / "derived.json", tmp_path / "explicit.json"
+        for out, length in ((derived, []), (explicit, ["--message-len", "64"])):
+            assert cli.main(["keygen", "--mask-from", str(image), "--count", "4",
+                             "--seed", "5", "--out", str(out), *length]) == 0
+        assert derived.read_bytes() == explicit.read_bytes()
+
     def test_masked_embed_round_trip(self, tmp_path, capsys):
         image = self._pgm(tmp_path)
         secret_path = tmp_path / "secret.json"

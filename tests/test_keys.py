@@ -6,13 +6,19 @@ sampling, partial Fisher-Yates) so that accidental format changes surface
 as test failures rather than as silently unlocatable watermarks.
 """
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qumark.errors import TooFewEligiblePositions
 from qumark.keys import (
     MIN_KEY_BYTES,
     DerivationParams,
     SecretKey,
+    _below,
+    _key_words,
     derive_indices,
     generate_secret,
 )
@@ -26,6 +32,27 @@ GOLDEN_SETS = {
     "key32_masked_odd": (1, 5, 11, 21, 25, 37, 39, 51),
     "long200_64_8": (1, 6, 28, 34, 49, 52, 53, 56),
 }
+
+
+def reference_derive_indices(key, params):
+    """The partial Fisher-Yates as a swap loop over the whole eligible list."""
+    pool = params.eligible_positions()
+    words = _key_words(key)
+    for i in range(params.mark_count):
+        j = i + _below(words, len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(pool[: params.mark_count]))
+
+
+@st.composite
+def derivation_params(draw):
+    length = draw(st.integers(1, 200))
+    mask = draw(st.none() | st.text("01", min_size=length, max_size=length))
+    eligible = length if mask is None else mask.count("1")
+    if eligible == 0:
+        mask = "1" + mask[1:]
+        eligible = 1
+    return DerivationParams(length, draw(st.integers(1, eligible)), eligibility_mask=mask)
 
 
 class TestSecretKey:
@@ -127,6 +154,25 @@ class TestDeriveIndices:
         params = DerivationParams(90, 10, eligibility_mask=mask)
         got = derive_indices(KEY32, params)
         assert all(i % 3 == 0 for i in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=derivation_params(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_swap_loop_reference(self, params, seed):
+        key = SecretKey.generate(seed=seed)
+        assert derive_indices(key, params) == reference_derive_indices(key, params)
+
+    def test_memory_grows_with_the_marks_not_the_length(self):
+        params = DerivationParams(10**12, 1000)
+        derive_indices(KEY32, DerivationParams(8, 1))  # imports hashlib outside the trace
+        tracemalloc.start()
+        try:
+            got = derive_indices(KEY32, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(set(got)) == 1000
+        assert 0 <= got[0] and got[-1] < 10**12
 
     def test_selection_is_uniform_across_positions(self):
         # every position of a length-64 message should be picked for an

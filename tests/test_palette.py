@@ -148,6 +148,21 @@ def test_from_palette_checks_its_codes():
         QuantumMessage.from_palette(palette, [], Basis(0.0))
 
 
+@settings(max_examples=40, deadline=None)
+@given(distinct=st.integers(1, 300), repeats=st.integers(0, 300), seed=SEEDS)
+def test_from_palette_merges_equal_angles(distinct, repeats, seed):
+    palette = wide_palette(seed, distinct, distinct + repeats)
+    rng = random.Random(seed)
+    codes = [rng.randrange(len(palette)) for _ in range(400)]
+    message = QuantumMessage.from_palette(palette, codes, Basis(0.0))
+    expanded = QuantumMessage([palette[c] for c in codes], Basis(0.0))
+    assert message == expanded
+    assert [s.phi for s in message.states] == [palette[c].phi for c in codes]
+    phis = [s.phi for s in message.palette]
+    assert phis == list(dict.fromkeys(s.phi for s in palette))  # first occurrences, in order
+    assert isinstance(message.codes, bytes if len(phis) <= 256 else array)
+
+
 class TestMessageFile:
     @PROPERTY
     @given(message=messages())
