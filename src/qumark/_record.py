@@ -1,0 +1,50 @@
+"""The one frozen-record idiom behind the package's value types.
+
+A record could be a frozen dataclass, but importing dataclasses pulls in
+inspect, ast, dis and tokenize, and decorating a class runs generated code.
+Every CLI run is a fresh interpreter that pays both before its first line
+of work, and an owner audit starts one per suspect.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """Immutable value whose fields are its class annotations, in order.
+
+    A subclass writes its own __init__ and stores the fields with
+    vars(self).update(...), since assignment and deletion raise
+    AttributeError. Records are equal when they are of the same class and
+    their field tuples are equal, and hash by that tuple; a subclass that
+    defines its own __eq__ is unhashable. repr shows Name(field=value, ...).
+    Pickling and copying store and restore the instance dict without
+    running __init__ again.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields += tuple(cls.__annotations__)
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from itertools import compress
-from typing import Callable, Sequence
 
 from . import stats
+from ._record import Record
 from .errors import (
     BasisMismatch,
     InvalidProbability,
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AveragingResult:
+class AveragingResult(Record):
     """What collusion over several releases reveals and reconstructs.
 
     suspected_indices are the positions where any two copies disagree;
@@ -50,14 +49,37 @@ class AveragingResult:
     suspected_indices: tuple[int, ...]
     disagreement_counts: tuple[int, ...]
 
+    def __init__(
+        self,
+        recovered_bits: str,
+        suspected_indices: tuple[int, ...],
+        disagreement_counts: tuple[int, ...],
+    ) -> None:
+        vars(self).update(
+            recovered_bits=recovered_bits,
+            suspected_indices=suspected_indices,
+            disagreement_counts=disagreement_counts,
+        )
 
-@dataclass(frozen=True)
-class AttackOutcome:
+
+class AttackOutcome(Record):
     """An attacked observation, with verification before and after the attack."""
 
     attacked: ObservedMessage
     verification_before: VerificationReport
     verification_after: VerificationReport
+
+    def __init__(
+        self,
+        attacked: ObservedMessage,
+        verification_before: VerificationReport,
+        verification_after: VerificationReport,
+    ) -> None:
+        vars(self).update(
+            attacked=attacked,
+            verification_before=verification_before,
+            verification_after=verification_after,
+        )
 
 
 def averaging_attack(copies: Sequence[ObservedMessage]) -> AveragingResult:

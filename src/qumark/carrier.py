@@ -10,8 +10,7 @@ canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import (
     EmptyInput,
     MalformedHeader,
@@ -59,41 +58,38 @@ def bits_to_bytes(bits: str) -> bytes:
     return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
 
-@dataclass(frozen=True)
-class CarrierPayload:
+class CarrierPayload(Record):
     """Payload bits plus the mask of positions allowed to carry the mark."""
 
     bits: str
     eligibility_mask: str
     format_tag: str
 
-    def __post_init__(self) -> None:
-        if self.format_tag not in (RAW, PGM_LSB):
-            raise ValueError(f"unknown format tag {self.format_tag!r}")
-        if len(self.eligibility_mask) != len(self.bits):
+    def __init__(self, bits: str, eligibility_mask: str, format_tag: str) -> None:
+        vars(self).update(bits=bits, eligibility_mask=eligibility_mask, format_tag=format_tag)
+        if format_tag not in (RAW, PGM_LSB):
+            raise ValueError(f"unknown format tag {format_tag!r}")
+        if len(eligibility_mask) != len(bits):
             raise ValueError(
-                f"mask length {len(self.eligibility_mask)} does not match"
-                f" payload length {len(self.bits)}"
+                f"mask length {len(eligibility_mask)} does not match payload length {len(bits)}"
             )
 
 
-@dataclass(frozen=True)
-class ImageMeta:
+class ImageMeta(Record):
     """Dimensions of an 8-bit greyscale image, as emit writes and ingest_pgm reads them."""
 
     width: int
     height: int
-    max_value: int = 255
+    max_value: int
 
-    def __post_init__(self) -> None:
-        if not all(type(v) is int for v in (self.width, self.height, self.max_value)):
+    def __init__(self, width: int, height: int, max_value: int = 255) -> None:
+        vars(self).update(width=width, height=height, max_value=max_value)
+        if not all(type(v) is int for v in (width, height, max_value)):
             raise TypeError(f"image width, height and maxval must be int, got {self}")
-        if self.width < 1 or self.height < 1:
-            raise MalformedHeader(
-                f"image dimensions must be positive, got {self.width}x{self.height}"
-            )
-        if self.max_value != 255:
-            raise UnsupportedMaxval(f"only 8-bit images are supported, maxval is {self.max_value}")
+        if width < 1 or height < 1:
+            raise MalformedHeader(f"image dimensions must be positive, got {width}x{height}")
+        if max_value != 255:
+            raise UnsupportedMaxval(f"only 8-bit images are supported, maxval is {max_value}")
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:

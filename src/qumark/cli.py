@@ -168,12 +168,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.accepted else 1
 
 
-def _run_attack(args: argparse.Namespace, observation: ObservedMessage, audit, attack) -> int:
-    """Verify before and after the attack, save the attacked copy, exit by the after verdict."""
+def _run_attack(
+    args: argparse.Namespace, observation: ObservedMessage, audit, attack, *lines: str
+) -> int:
+    """Verify before and after the attack, save the attacked copy, exit by the after verdict.
+
+    lines, then the two reports, are printed only once the attack and both
+    verifications have succeeded, so a failure leaves stdout empty.
+    """
     reference, secret, rule = audit
     outcome = run_attack_report(observation, reference, secret, rule, attack)
     if args.out is not None:
         _write_text(args.out, fileformats.dump_observation(outcome.attacked))
+    for line in lines:
+        print(line)
     print("== before ==")
     _print_report(outcome.verification_before, rule)
     print("== after ==")
@@ -201,8 +209,8 @@ def _cmd_attack_averaging(args: argparse.Namespace) -> int:
     recovered = ObservedMessage(
         bits=result.recovered_bits, observation_basis=copies[0].observation_basis
     )
-    print(f"suspected_positions: {len(result.suspected_indices)}")
-    return _run_attack(args, copies[0], audit, lambda _obs: recovered)
+    suspected = f"suspected_positions: {len(result.suspected_indices)}"
+    return _run_attack(args, copies[0], audit, lambda _obs: recovered, suspected)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -210,14 +218,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     nulls = [float(v) for v in args.null.split(",") if v]
     if not pes or not nulls:
         raise ValueError("--pe and --null need at least one value each")
+    # every size is computed before the table is printed, so a failure prints none of it
+    rows = [
+        (pe, null_rate, stats.recommended_sample_size(pe, null_rate, args.confidence, args.power))
+        for pe in pes
+        for null_rate in nulls
+    ]
     print(f"{'pe':>8} {'null':>8} {'confidence':>11} {'power':>8} {'min_marks':>10}")
-    for pe in pes:
-        for null_rate in nulls:
-            size = stats.recommended_sample_size(pe, null_rate, args.confidence, args.power)
-            print(
-                f"{pe:>8.4f} {null_rate:>8.4f} {args.confidence:>11.4f}"
-                f" {args.power:>8.4f} {size:>10d}"
-            )
+    for pe, null_rate, size in rows:
+        print(
+            f"{pe:>8.4f} {null_rate:>8.4f} {args.confidence:>11.4f}"
+            f" {args.power:>8.4f} {size:>10d}"
+        )
     return 0
 
 

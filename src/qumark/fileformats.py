@@ -98,6 +98,21 @@ def _field(document: dict, name: str, kind: str) -> object:
     return document[name]
 
 
+def _int_items(indices: list) -> bool:
+    """True when every index is an int, or a bool sits only where the secret refuses it.
+
+    One pass, in C: sum is an int exactly when every item is an int or a
+    bool, since a float makes it a float and any other JSON value raises
+    TypeError. The secret takes only nonnegative, strictly increasing
+    indices, where the one at position i is at least i, so a bool (0 or 1)
+    could pass it only at position 0 or 1.
+    """
+    try:
+        return type(sum(indices)) is int and bool not in map(type, indices[:2])
+    except TypeError:
+        return False
+
+
 def dump_secret(secret: WatermarkSecret, expected_pe: float) -> str:
     """Serialize a secret; expected_pe records the flip rate planned at key time.
 
@@ -122,7 +137,7 @@ def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
     text = _decode(text, "secret")
     document = _load(text, SECRET_FORMAT_VERSION, "secret")
     indices = _field(document, "indices", "secret")
-    if not isinstance(indices, list) or not set(map(type, indices)) <= {int}:
+    if not isinstance(indices, list) or not _int_items(indices):
         raise MalformedFile("secret indices must be a list of integers")
     theta = _parse_angle(_field(document, "mark_basis_theta", "secret"), "mark_basis_theta", 90.0)
     key_field = _field(document, "key", "secret")
@@ -138,7 +153,7 @@ def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
     if not isinstance(expected_pe, (int, float)) or isinstance(expected_pe, bool):
         raise MalformedFile("expected_pe must be a number")
     try:
-        secret = WatermarkSecret(indices=tuple(indices), mark_basis=Basis(theta), key=key)
+        secret = WatermarkSecret._from_ints(tuple(indices), Basis(theta), key)
         expected_pe = float(expected_pe)  # an integer past 2**1024 overflows
     except (ValueError, OverflowError) as exc:
         raise MalformedFile(f"secret file holds an invalid secret: {exc}") from None

@@ -13,10 +13,10 @@ from __future__ import annotations
 import os
 import random
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import count
-from typing import Iterator
 
+from ._record import Record
 from .errors import TooFewEligiblePositions
 from .qstate import Basis, _check_seed
 from .watermark import WatermarkSecret
@@ -34,18 +34,17 @@ MIN_KEY_BYTES = 16
 _PERSONALIZATION = b"qumark.indices"  # domain-separates this use of the key
 
 
-@dataclass(frozen=True)
-class SecretKey:
+class SecretKey(Record):
     """Opaque key bytes, at least MIN_KEY_BYTES long."""
 
     data: bytes
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.data, (bytes, bytearray)):
-            raise TypeError(f"key data must be bytes, got {type(self.data).__name__}")
-        object.__setattr__(self, "data", bytes(self.data))
-        if len(self.data) < MIN_KEY_BYTES:
-            raise ValueError(f"key must be at least {MIN_KEY_BYTES} bytes, got {len(self.data)}")
+    def __init__(self, data: bytes) -> None:
+        if not isinstance(data, (bytes, bytearray)):
+            raise TypeError(f"key data must be bytes, got {type(data).__name__}")
+        vars(self).update(data=bytes(data))
+        if len(data) < MIN_KEY_BYTES:
+            raise ValueError(f"key must be at least {MIN_KEY_BYTES} bytes, got {len(data)}")
 
     @classmethod
     def generate(cls, seed: int | None = None) -> "SecretKey":
@@ -56,8 +55,7 @@ class SecretKey:
         return cls(random.Random(seed).randbytes(32))
 
 
-@dataclass(frozen=True)
-class DerivationParams:
+class DerivationParams(Record):
     """Shape of an index-set derivation: message length, set size, optional mask.
 
     eligibility_mask, when given, is a '0'/'1' string of message_length marking
@@ -66,20 +64,25 @@ class DerivationParams:
 
     message_length: int
     mark_count: int
-    eligibility_mask: str | None = None
+    eligibility_mask: str | None
 
-    def __post_init__(self) -> None:
-        if self.message_length < 1:
-            raise ValueError(f"message length must be positive, got {self.message_length}")
-        if self.mark_count < 1:
-            raise ValueError(f"mark count must be positive, got {self.mark_count}")
-        if self.eligibility_mask is not None:
-            if len(self.eligibility_mask) != self.message_length:
+    def __init__(
+        self, message_length: int, mark_count: int, eligibility_mask: str | None = None
+    ) -> None:
+        vars(self).update(
+            message_length=message_length, mark_count=mark_count, eligibility_mask=eligibility_mask
+        )
+        if message_length < 1:
+            raise ValueError(f"message length must be positive, got {message_length}")
+        if mark_count < 1:
+            raise ValueError(f"mark count must be positive, got {mark_count}")
+        if eligibility_mask is not None:
+            if len(eligibility_mask) != message_length:
                 raise ValueError(
-                    f"mask length {len(self.eligibility_mask)} does not match"
-                    f" message length {self.message_length}"
+                    f"mask length {len(eligibility_mask)} does not match"
+                    f" message length {message_length}"
                 )
-            if set(self.eligibility_mask) - {"0", "1"}:
+            if set(eligibility_mask) - {"0", "1"}:
                 raise ValueError("eligibility mask may contain only '0' and '1'")
         eligible = self.eligible_count()
         if self.mark_count > eligible:

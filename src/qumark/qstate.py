@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "ANGLE_TOLERANCE",
@@ -64,8 +65,7 @@ def _check_bit(bit: int) -> int:
     return bit
 
 
-@dataclass(frozen=True, eq=False)
-class Basis:
+class Basis(Record):
     """Writing or measurement basis {|theta>, |theta + 90>}.
 
     theta is reduced into [0, 90) on construction. Equality is circular with
@@ -74,8 +74,8 @@ class Basis:
 
     theta: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _reduce_angle(float(self.theta), 90.0))
+    def __init__(self, theta: float) -> None:
+        vars(self).update(theta=_reduce_angle(float(theta), 90.0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Basis):
@@ -87,8 +87,7 @@ class Basis:
         return not self == other
 
 
-@dataclass(frozen=True, eq=False)
-class RebitState:
+class RebitState(Record):
     """Pure rebit |phi> with phi reduced into [0, 180).
 
     Equality is circular with tolerance ANGLE_TOLERANCE (|0> and |180> are
@@ -97,8 +96,8 @@ class RebitState:
 
     phi: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", _reduce_angle(float(self.phi), 180.0))
+    def __init__(self, phi: float) -> None:
+        vars(self).update(phi=_reduce_angle(float(phi), 180.0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RebitState):

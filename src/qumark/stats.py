@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import add, mul, sub
 
+from ._record import Record
 from .errors import (
     CountExceedsTotal,
     InvalidProbability,
@@ -56,8 +56,7 @@ _PMF_TIE_SLACK = 1e-12
 _LOG_MASS_FLOOR = -800.0
 
 
-@dataclass(frozen=True)
-class DecisionRule:
+class DecisionRule(Record):
     """How to turn (errors, total, expected rate) into accept or reject.
 
     kind selects the test; fixed_tolerance carries a tolerance, the two
@@ -65,22 +64,25 @@ class DecisionRule:
     """
 
     kind: str
-    tolerance: float | None = None
-    confidence: float | None = None
+    tolerance: float | None
+    confidence: float | None
 
-    def __post_init__(self) -> None:
-        if self.kind == FIXED_TOLERANCE:
-            if self.confidence is not None:
+    def __init__(
+        self, kind: str, tolerance: float | None = None, confidence: float | None = None
+    ) -> None:
+        vars(self).update(kind=kind, tolerance=tolerance, confidence=confidence)
+        if kind == FIXED_TOLERANCE:
+            if confidence is not None:
                 raise ValueError("fixed tolerance rule takes no confidence")
-            if self.tolerance is None or not 0.0 < self.tolerance < 1.0:
-                raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance!r}")
-        elif self.kind in (WILSON_INTERVAL, EXACT_BINOMIAL):
-            if self.tolerance is not None:
-                raise ValueError(f"{self.kind} rule takes no tolerance")
-            if self.confidence is None or not 0.0 < self.confidence < 1.0:
-                raise ValueError(f"confidence must be in (0, 1), got {self.confidence!r}")
+            if tolerance is None or not 0.0 < tolerance < 1.0:
+                raise ValueError(f"tolerance must be in (0, 1), got {tolerance!r}")
+        elif kind in (WILSON_INTERVAL, EXACT_BINOMIAL):
+            if tolerance is not None:
+                raise ValueError(f"{kind} rule takes no tolerance")
+            if confidence is None or not 0.0 < confidence < 1.0:
+                raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
         else:
-            raise ValueError(f"unknown decision rule kind {self.kind!r}")
+            raise ValueError(f"unknown decision rule kind {kind!r}")
 
     @classmethod
     def fixed(cls, tolerance: float) -> "DecisionRule":
@@ -95,8 +97,7 @@ class DecisionRule:
         return cls(EXACT_BINOMIAL, confidence=confidence)
 
 
-@dataclass(frozen=True)
-class DecisionOutcome:
+class DecisionOutcome(Record):
     """Verdict plus the numbers that produced it.
 
     bound_low/bound_high hold the tolerance band or Wilson interval for the
@@ -106,22 +107,40 @@ class DecisionOutcome:
 
     decision: str
     statistic: float
-    bound_low: float | None = None
-    bound_high: float | None = None
-    p_value: float | None = None
+    bound_low: float | None
+    bound_high: float | None
+    p_value: float | None
+
+    def __init__(
+        self,
+        decision: str,
+        statistic: float,
+        bound_low: float | None = None,
+        bound_high: float | None = None,
+        p_value: float | None = None,
+    ) -> None:
+        vars(self).update(
+            decision=decision,
+            statistic=statistic,
+            bound_low=bound_low,
+            bound_high=bound_high,
+            p_value=p_value,
+        )
 
     @property
     def accepted(self) -> bool:
         return self.decision == ACCEPT
 
 
-@dataclass(frozen=True)
-class SampleSizeSpec:
+class SampleSizeSpec(Record):
     """An error budget: a expected errors out of n = a + b marked positions."""
 
     a: int
     b: int
     n: int
+
+    def __init__(self, a: int, b: int, n: int) -> None:
+        vars(self).update(a=a, b=b, n=n)
 
 
 def relative_frequency(errors: int, total: int) -> float:
@@ -147,20 +166,19 @@ def _wilson_bounds(errors: int, total: int, confidence: float) -> tuple[float, f
     return max(0.0, centre - margin), min(1.0, centre + margin)
 
 
-class _IntegerTables:
-    """lgamma(x) and float(x - 1) over one run of consecutive integers x >= 1.
-
-    A pmf window needs lgamma at k+1 and n-k+1 and the factors k and n-k as
-    floats (int * float multiplies by exactly that float). The run grows on
-    demand, so one instance serves both rows of a power probe, and
-    recommended_sample_size keeps one across its probes, whose windows
-    overlap.
-    """
+class _IntegerRun:
+    """lgamma(x) and float(x - 1) over one run of consecutive integers x >= 1, grown on demand."""
 
     def __init__(self) -> None:
         self.first = self.stop = 1
         self.lgammas: list[float] = []
         self.counts: list[float] = []
+
+    def growth(self, first: int, stop: int) -> int:
+        """How many entries cover(first, stop) would add."""
+        if not self.lgammas:
+            return stop - first
+        return max(self.first - first, 0) + max(stop - self.stop, 0)
 
     def cover(self, first: int, stop: int) -> None:
         """Grow the run to include range(first, stop)."""
@@ -176,6 +194,28 @@ class _IntegerTables:
             self.lgammas += map(math.lgamma, grown)
             self.counts += map(float, range(self.stop - 1, stop - 1))
             self.stop = stop
+
+
+class _IntegerTables:
+    """The integers a pmf window reads, in two runs.
+
+    A window needs lgamma at k+1 and n-k+1 and the factors k and n-k as
+    floats (int * float multiplies by exactly that float). Each of the two
+    ranges goes into the run that grows least to cover it: near rate 1/2
+    they share one run, while far from it they lie at opposite ends of the
+    row, which one run would have to span. Runs grow on demand, so one
+    instance serves both rows of a power probe, and recommended_sample_size
+    keeps one across its probes, whose windows overlap.
+    """
+
+    def __init__(self) -> None:
+        self.runs = (_IntegerRun(), _IntegerRun())
+
+    def cover(self, first: int, stop: int) -> _IntegerRun:
+        """The run grown to include range(first, stop), of the two the one that grew least."""
+        run = min(self.runs, key=lambda run: run.growth(first, stop))
+        run.cover(first, stop)
+        return run
 
 
 def _binomial_pmf_window(n: int, p: float, tables: _IntegerTables) -> tuple[int, list[float]]:
@@ -200,13 +240,14 @@ def _binomial_pmf_window(n: int, p: float, tables: _IntegerTables) -> tuple[int,
     mode = min(n, int((n + 1) * p))
     lo = bisect_left(range(mode), _LOG_MASS_FLOOR, key=log_mass)
     hi = bisect_right(range(n + 1), -_LOG_MASS_FLOOR, mode, key=lambda k: -log_mass(k))
-    tables.cover(min(lo + 1, n - hi + 2), max(hi + 1, n - lo + 2))
-    k = slice(lo + 1 - tables.first, hi + 1 - tables.first)
-    rest = slice(n - hi + 2 - tables.first, n - lo + 2 - tables.first)  # n-k+1, in reverse
-    logs = map(sub, repeat(lg_n), tables.lgammas[k])
-    logs = map(sub, logs, tables.lgammas[rest][::-1])
-    logs = map(add, logs, map(mul, tables.counts[k], repeat(log_p)))
-    logs = map(add, logs, map(mul, tables.counts[rest][::-1], repeat(log_q)))
+    heads = tables.cover(lo + 1, hi + 1)
+    tails = tables.cover(n - hi + 2, n - lo + 2)
+    k = slice(lo + 1 - heads.first, hi + 1 - heads.first)
+    rest = slice(n - hi + 2 - tails.first, n - lo + 2 - tails.first)  # n-k+1, in reverse
+    logs = map(sub, repeat(lg_n), heads.lgammas[k])
+    logs = map(sub, logs, tails.lgammas[rest][::-1])
+    logs = map(add, logs, map(mul, heads.counts[k], repeat(log_p)))
+    logs = map(add, logs, map(mul, tails.counts[rest][::-1], repeat(log_q)))
     return lo, list(map(math.exp, logs))
 
 

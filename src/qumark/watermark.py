@@ -14,10 +14,10 @@ from __future__ import annotations
 import operator
 import warnings
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Mapping, MutableSequence, Sequence
+from collections.abc import Iterable, Mapping, MutableSequence, Sequence
 
 from . import stats
+from ._record import Record
 from .carrier import _check_bits
 from .errors import (
     BasisMismatch,
@@ -117,8 +117,7 @@ def _flip_bits(bits: str, positions: Iterable[int], rate: float, rng: RandomSour
     return bytes(codes).decode("ascii")
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class QuantumMessage:
+class QuantumMessage(Record):
     """Ordered rebit states plus the basis the unmarked positions are written in.
 
     Each distinct angle is stored once in palette, since entries with equal
@@ -158,9 +157,7 @@ class QuantumMessage:
         if len(code_of) < len(palette):
             palette = tuple(map(RebitState, code_of))
             return self._set(palette, map(merged.__getitem__, codes), writing_basis)
-        object.__setattr__(self, "palette", palette)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "writing_basis", writing_basis)
+        vars(self).update(palette=palette, codes=codes, writing_basis=writing_basis)
 
     @property
     def states(self) -> tuple[RebitState, ...]:
@@ -179,8 +176,7 @@ class QuantumMessage:
         )
 
 
-@dataclass(frozen=True)
-class WatermarkSecret:
+class WatermarkSecret(Record):
     """Verification secret: marked positions, marking basis, optional key bytes.
 
     indices must be strictly increasing; the key is carried only so a stored
@@ -189,11 +185,22 @@ class WatermarkSecret:
 
     indices: tuple[int, ...]
     mark_basis: Basis
-    key: bytes | None = None
+    key: bytes | None
 
-    def __post_init__(self) -> None:
-        indices = tuple(map(int, self.indices))
-        object.__setattr__(self, "indices", indices)
+    def __init__(self, indices: Iterable[int], mark_basis: Basis, key: bytes | None = None) -> None:
+        self._set(tuple(map(int, indices)), mark_basis, key)
+
+    @classmethod
+    def _from_ints(
+        cls, indices: tuple[int, ...], mark_basis: Basis, key: bytes | None
+    ) -> WatermarkSecret:
+        """A secret whose indices are already a tuple of ints, which skips the int() pass."""
+        secret = cls.__new__(cls)
+        secret._set(indices, mark_basis, key)
+        return secret
+
+    def _set(self, indices: tuple[int, ...], mark_basis: Basis, key: bytes | None) -> None:
+        vars(self).update(indices=indices, mark_basis=mark_basis, key=key)
         if not indices:
             raise ValueError("index set must not be empty")
         if indices[0] < 0:
@@ -202,22 +209,21 @@ class WatermarkSecret:
             raise ValueError("indices must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class ObservedMessage:
+class ObservedMessage(Record):
     """Classical bits produced by measuring every qubit of a message in one basis."""
 
     bits: str
     observation_basis: Basis
 
-    def __post_init__(self) -> None:
-        _check_bitstring(self.bits)
+    def __init__(self, bits: str, observation_basis: Basis) -> None:
+        vars(self).update(bits=bits, observation_basis=observation_basis)
+        _check_bitstring(bits)
 
     def __len__(self) -> int:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of comparing a suspect observation against the retained reference."""
 
     error_count: int
@@ -226,6 +232,24 @@ class VerificationReport:
     expected_pe: float
     decision: str
     decision_detail: stats.DecisionOutcome
+
+    def __init__(
+        self,
+        error_count: int,
+        sample_size: int,
+        observed_frequency: float,
+        expected_pe: float,
+        decision: str,
+        decision_detail: stats.DecisionOutcome,
+    ) -> None:
+        vars(self).update(
+            error_count=error_count,
+            sample_size=sample_size,
+            observed_frequency=observed_frequency,
+            expected_pe=expected_pe,
+            decision=decision,
+            decision_detail=decision_detail,
+        )
 
     @property
     def accepted(self) -> bool:

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from qumark import cli
-from qumark.fileformats import load_observation, load_secret
+from qumark.fileformats import dump_observation, load_observation, load_secret
+from qumark.qstate import Basis
 from qumark.stats import DecisionRule
-from qumark.watermark import verify
+from qumark.watermark import ObservedMessage, verify
 
 PAYLOAD = b"\x65"  # bits 01100101
 
@@ -422,6 +423,26 @@ class TestAttackCommands:
         assert "decision: reject" in out
         assert load_observation(recovered.read_text()).bits.count("1") < 256
 
+    def test_averaging_copies_unlike_the_reference_print_nothing(self, tmp_path, capsys):
+        # the 8-bit copies average fine; verifying against the 512-bit
+        # reference fails, and no partial report may reach stdout first
+        paths = self._release(tmp_path)
+        copies = []
+        for i, bits in enumerate(["01100101", "01100111"]):
+            copy = tmp_path / f"short{i}.json"
+            copy.write_text(dump_observation(ObservedMessage(bits, Basis(0.0))))
+            copies.append(str(copy))
+        out_path = tmp_path / "recovered.json"
+        code = cli.main([
+            "attack", "averaging", "--copies", *copies, "--out", str(out_path),
+            "--reference", str(paths["reference"]), "--secret", str(paths["secret"]),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not out_path.exists()
+
     def test_averaging_needs_two_copies(self, tmp_path, capsys):
         paths = self._release(tmp_path)
         code = cli.main([
@@ -446,6 +467,15 @@ class TestAnalyze:
         code = cli.main(["analyze", "--pe", "0.5", "--null", "0.4999"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rates", [["--pe", "nan"], ["--pe", "0.5", "--null", "0.0,0.4999"]],
+                             ids=["nan", "second-row-unachievable"])
+    def test_a_failing_row_prints_no_table(self, rates, capsys):
+        code = cli.main(["analyze", *rates])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
     def test_empty_rate_list(self, capsys):
         assert cli.main(["analyze", "--pe", ","]) == 2
@@ -531,3 +561,22 @@ class TestImportCost:
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "set()"
+
+    # -S leaves out site, which may itself import some of these modules and
+    # so hide them from the comparison below
+    @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+    def test_cli_import_adds_neither_dataclasses_nor_typing(self, flags):
+        # every CLI run is a fresh interpreter: dataclasses pulls in inspect,
+        # ast, dis and tokenize, and typing serves only annotations
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def modules_after(imports):
+            probe = f"import sys{imports}; print(*sorted(sys.modules))"
+            done = subprocess.run([sys.executable, *flags, "-c", probe], env=env,
+                                  capture_output=True, text=True, timeout=60, check=True)
+            return set(done.stdout.split())
+
+        added = modules_after(", qumark.cli") - modules_after("")
+        assert "qumark.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}

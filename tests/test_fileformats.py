@@ -6,6 +6,7 @@ mis-versioned input must fail loudly instead of being repaired.
 """
 
 import json
+import operator
 import sys
 import tracemalloc
 
@@ -215,6 +216,43 @@ class TestArbitraryInput:
             load(raw)
         except (MalformedFile, UnsupportedVersion):
             pass
+
+
+def reference_load_indices(indices):
+    """The indices load_secret returns for a parsed indices field, or None if it refuses.
+
+    These are the three passes load_secret once made: a type scan, int()
+    over every index, and the order check; kept as the reference its
+    single pass must match.
+    """
+    if not isinstance(indices, list) or not set(map(type, indices)) <= {int}:
+        return None
+    indices = tuple(map(int, indices))
+    if not indices or indices[0] < 0 or not all(map(operator.lt, indices, indices[1:])):
+        return None
+    return indices
+
+
+@st.composite
+def index_fields(draw):
+    """Increasing integers with a few values inserted anywhere, or any JSON value."""
+    indices = sorted(draw(st.sets(st.integers(0, 2**70) | st.integers(0, 8), max_size=6)))
+    stray = st.integers(-3, 8) | st.booleans() | st.floats() | st.none() | st.text(max_size=2)
+    for at, value in draw(st.lists(st.tuples(st.integers(0, 6), stray | JSON_VALUES), max_size=2)):
+        indices.insert(at, value)
+    return indices
+
+
+@settings(max_examples=500, deadline=None)
+@given(index_fields() | JSON_VALUES)
+def test_load_secret_refuses_exactly_what_the_three_passes_refused(indices):
+    text = mutate(dump_secret(SECRET, 0.5), indices=indices)
+    try:
+        loaded = load_secret(text)[0].indices
+    except MalformedFile:
+        loaded = None
+    assert loaded == reference_load_indices(json.loads(text)["indices"])
+    assert loaded is None or set(map(type, loaded)) <= {int}
 
 
 class TestMessageFormat:
