@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from . import carrier, fileformats, stats
@@ -48,12 +49,26 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def _write_text(path: str, text: str) -> None:
+    """Write text as UTF-8 over path in place, then cut a regular file's old tail.
+
+    The end state is mode "w"'s: the same inode, symlinks followed, mode bits
+    kept. Truncating a large file to zero before rewriting it can stall for
+    hundreds of milliseconds (ext4 mounted with discard); overwriting its
+    blocks and cutting what is left takes a few milliseconds.
+    """
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    data = text.encode("utf-8")
+    with open(os.open(path, _WRITE_FLAGS, 0o666), "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            os.ftruncate(handle.fileno(), len(data))
 
 
 def _parse_rule(token: str) -> stats.DecisionRule:
@@ -176,6 +191,8 @@ def _run_attack(
     lines, then the two reports, are printed only once the attack and both
     verifications have succeeded, so a failure leaves stdout empty.
     """
+    if args.out == "-":
+        raise ValueError("attack prints its reports on stdout and needs --out FILE")
     reference, secret, rule = audit
     outcome = run_attack_report(observation, reference, secret, rule, attack)
     if args.out is not None:

@@ -309,6 +309,115 @@ class TestArtifactBytes:
         assert f"decision: {report.decision}\n" in outputs[1]
 
 
+def keygen_to(path, count, seed=7):
+    assert cli.main(["keygen", "--message-len", "256", "--count", str(count),
+                     "--seed", str(seed), "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+class TestArtifactWriter:
+    """Outputs are overwritten in place with the end state of a truncating rewrite."""
+
+    def test_shorter_secret_over_a_longer_one_leaves_no_tail(self, tmp_path):
+        fresh = keygen_to(tmp_path / "fresh.json", 4)
+        target = tmp_path / "secret.json"
+        longer = keygen_to(target, 64)
+        assert len(longer) > len(fresh)
+        assert keygen_to(target, 4) == fresh
+
+    def test_reference_written_over_the_marked_message(self, tmp_path):
+        paths = run_pipeline(tmp_path)
+        both = tmp_path / "both.json"
+        assert cli.main([
+            "embed", "--in", str(paths["payload"]), "--secret", str(paths["secret"]),
+            "--out", str(both), "--reference-out", str(both), "--seed", "11",
+        ]) == 0
+        assert paths["marked"].stat().st_size > paths["reference"].stat().st_size
+        assert both.read_bytes() == paths["reference"].read_bytes()
+
+    def test_symlink_updates_its_target_and_stays_a_link(self, tmp_path):
+        fresh = keygen_to(tmp_path / "fresh.json", 4)
+        target = tmp_path / "target.json"
+        target.write_bytes(b"x" * 10 * len(fresh))
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert keygen_to(link, 4) == fresh
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh
+
+    def test_hard_links_share_the_new_bytes(self, tmp_path):
+        first = tmp_path / "first.json"
+        keygen_to(first, 64)
+        second = tmp_path / "second.json"
+        os.link(first, second)
+        assert keygen_to(second, 4) == first.read_bytes()
+        assert os.path.samefile(first, second)
+
+    def test_existing_mode_bits_survive(self, tmp_path):
+        target = tmp_path / "secret.json"
+        keygen_to(target, 64)
+        target.chmod(0o640)
+        inode = target.stat().st_ino
+        keygen_to(target, 4)
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert target.stat().st_ino == inode
+
+    def test_a_new_file_gets_0666_less_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            keygen_to(tmp_path / "new.json", 4)
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o640
+
+    def test_dev_null_takes_the_stream(self):
+        assert cli.main(["keygen", "--message-len", "256", "--count", "4",
+                         "--seed", "7", "--out", os.devnull]) == 0
+
+    def test_writes_through_os_open_without_truncating_or_renaming(self, tmp_path, monkeypatch):
+        calls = []
+        real_open = os.open
+
+        def spy_open(path, flags, *rest, **kwargs):
+            calls.append(("open", os.fspath(path), flags))
+            return real_open(path, flags, *rest, **kwargs)
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                calls.append((name,))
+                raise AssertionError(f"the writer called os.{name}")
+            return call
+
+        target = tmp_path / "secret.json"
+        keygen_to(target, 64)
+        monkeypatch.setattr(os, "open", spy_open)
+        for name in ("replace", "rename", "unlink"):
+            monkeypatch.setattr(os, name, refuse(name))
+        keygen_to(target, 4)
+        monkeypatch.undo()
+        assert [call[:2] for call in calls] == [("open", str(target))]
+        flags = calls[0][2]
+        assert flags & os.O_TRUNC == 0
+        assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+
+    def test_a_rerun_into_its_own_directory_is_byte_identical(self, tmp_path):
+        def run(count, seeds):
+            paths = run_pipeline(tmp_path, count, *seeds)
+            attacked = tmp_path / "attacked.json"
+            cli.main([
+                "attack", "noise", "--in", str(paths["suspect"]), "--rate", "0.1",
+                "--reference", str(paths["reference"]), "--secret", str(paths["secret"]),
+                "--out", str(attacked), "--seed", str(seeds[0]),
+            ])
+            return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        first = run(4, (7, 11, 4))
+        for name, digest in GOLDEN_HASHES.items():
+            assert hashlib.sha256(first[name]).hexdigest() == digest, name
+        assert run(6, (8, 12, 5)) != first
+        assert run(4, (7, 11, 4)) == first
+
+
 AUDIT_COMMANDS = {
     "verify": ["verify", "--suspect", "s.json"],
     "noise": ["attack", "noise", "--in", "i.json", "--rate", "0.1"],
@@ -442,6 +551,21 @@ class TestAttackCommands:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("name", ["noise", "shift", "averaging"])
+    def test_out_dash_is_refused(self, name, tmp_path, capsys):
+        # the reports go to stdout, so the attacked copy may not
+        paths = self._release(tmp_path)
+        first = AUDIT_COMMANDS[name]
+        suspect = [str(paths["suspect"]) if token.endswith(".json") else token for token in first]
+        code = cli.main(suspect + [
+            "--reference", str(paths["reference"]), "--secret", str(paths["secret"]),
+            "--out", "-",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: attack prints its reports on stdout and needs --out FILE\n"
 
     def test_averaging_needs_two_copies(self, tmp_path, capsys):
         paths = self._release(tmp_path)
