@@ -49,18 +49,6 @@ class AveragingResult(Record):
     suspected_indices: tuple[int, ...]
     disagreement_counts: tuple[int, ...]
 
-    def __init__(
-        self,
-        recovered_bits: str,
-        suspected_indices: tuple[int, ...],
-        disagreement_counts: tuple[int, ...],
-    ) -> None:
-        vars(self).update(
-            recovered_bits=recovered_bits,
-            suspected_indices=suspected_indices,
-            disagreement_counts=disagreement_counts,
-        )
-
 
 class AttackOutcome(Record):
     """An attacked observation, with verification before and after the attack."""
@@ -68,18 +56,6 @@ class AttackOutcome(Record):
     attacked: ObservedMessage
     verification_before: VerificationReport
     verification_after: VerificationReport
-
-    def __init__(
-        self,
-        attacked: ObservedMessage,
-        verification_before: VerificationReport,
-        verification_after: VerificationReport,
-    ) -> None:
-        vars(self).update(
-            attacked=attacked,
-            verification_before=verification_before,
-            verification_after=verification_after,
-        )
 
 
 def averaging_attack(copies: Sequence[ObservedMessage]) -> AveragingResult:

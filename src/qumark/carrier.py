@@ -43,11 +43,11 @@ def bytes_to_bits(data: bytes) -> str:
     return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
 
 
-def _check_bits(bits: str) -> None:
+def _check_bits(bits: str, what: str = "bits") -> None:
     """Raise ValueError unless every character of bits is '0' or '1'."""
     # int(_, 2) would also accept a 0b prefix, underscores and whitespace
     if bits.encode("ascii", "replace").translate(None, b"01"):
-        raise ValueError("bits may contain only '0' and '1'")
+        raise ValueError(f"{what} may contain only '0' and '1'")
 
 
 def bits_to_bytes(bits: str) -> bytes:
@@ -65,13 +65,13 @@ class CarrierPayload(Record):
     eligibility_mask: str
     format_tag: str
 
-    def __init__(self, bits: str, eligibility_mask: str, format_tag: str) -> None:
-        vars(self).update(bits=bits, eligibility_mask=eligibility_mask, format_tag=format_tag)
-        if format_tag not in (RAW, PGM_LSB):
-            raise ValueError(f"unknown format tag {format_tag!r}")
-        if len(eligibility_mask) != len(bits):
+    def _check(self) -> None:
+        if self.format_tag not in (RAW, PGM_LSB):
+            raise ValueError(f"unknown format tag {self.format_tag!r}")
+        if len(self.eligibility_mask) != len(self.bits):
             raise ValueError(
-                f"mask length {len(eligibility_mask)} does not match payload length {len(bits)}"
+                f"mask length {len(self.eligibility_mask)} does not match"
+                f" payload length {len(self.bits)}"
             )
 
 
@@ -80,10 +80,10 @@ class ImageMeta(Record):
 
     width: int
     height: int
-    max_value: int
+    max_value: int = 255
 
-    def __init__(self, width: int, height: int, max_value: int = 255) -> None:
-        vars(self).update(width=width, height=height, max_value=max_value)
+    def _check(self) -> None:
+        width, height, max_value = self.width, self.height, self.max_value
         if not all(type(v) is int for v in (width, height, max_value)):
             raise TypeError(f"image width, height and maxval must be int, got {self}")
         if width < 1 or height < 1:
@@ -137,8 +137,11 @@ def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
     for name in ("width", "height", "maxval"):
         token, pos = _next_token(data, pos)
         try:
+            # int() would also take a sign and underscores, which no PGM writer emits
+            if not token.isdigit():
+                raise ValueError
             fields.append(int(token))
-        except ValueError:
+        except ValueError:  # also raised for more digits than int() converts
             raise MalformedHeader(f"{name} is not an integer: {token!r}") from None
     width, height, maxval = fields
     if not 1 <= maxval <= 65535:

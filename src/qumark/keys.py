@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from itertools import count
 
 from ._record import Record
+from .carrier import _check_bits
 from .errors import TooFewEligiblePositions
 from .qstate import Basis, _check_seed
 from .watermark import WatermarkSecret
@@ -64,26 +65,22 @@ class DerivationParams(Record):
 
     message_length: int
     mark_count: int
-    eligibility_mask: str | None
+    eligibility_mask: str | None = None
 
-    def __init__(
-        self, message_length: int, mark_count: int, eligibility_mask: str | None = None
-    ) -> None:
-        vars(self).update(
-            message_length=message_length, mark_count=mark_count, eligibility_mask=eligibility_mask
-        )
+    def _check(self) -> None:
+        message_length, mask = self.message_length, self.eligibility_mask
         if message_length < 1:
             raise ValueError(f"message length must be positive, got {message_length}")
-        if mark_count < 1:
-            raise ValueError(f"mark count must be positive, got {mark_count}")
-        if eligibility_mask is not None:
-            if len(eligibility_mask) != message_length:
+        if self.mark_count < 1:
+            raise ValueError(f"mark count must be positive, got {self.mark_count}")
+        if mask is not None:
+            if not isinstance(mask, str):
+                raise TypeError(f"eligibility mask must be a str, got {type(mask).__name__}")
+            if len(mask) != message_length:
                 raise ValueError(
-                    f"mask length {len(eligibility_mask)} does not match"
-                    f" message length {message_length}"
+                    f"mask length {len(mask)} does not match message length {message_length}"
                 )
-            if set(eligibility_mask) - {"0", "1"}:
-                raise ValueError("eligibility mask may contain only '0' and '1'")
+            _check_bits(mask, "eligibility mask")
         eligible = self.eligible_count()
         if self.mark_count > eligible:
             raise TooFewEligiblePositions(

@@ -64,13 +64,11 @@ class DecisionRule(Record):
     """
 
     kind: str
-    tolerance: float | None
-    confidence: float | None
+    tolerance: float | None = None
+    confidence: float | None = None
 
-    def __init__(
-        self, kind: str, tolerance: float | None = None, confidence: float | None = None
-    ) -> None:
-        vars(self).update(kind=kind, tolerance=tolerance, confidence=confidence)
+    def _check(self) -> None:
+        kind, tolerance, confidence = self.kind, self.tolerance, self.confidence
         if kind == FIXED_TOLERANCE:
             if confidence is not None:
                 raise ValueError("fixed tolerance rule takes no confidence")
@@ -107,25 +105,9 @@ class DecisionOutcome(Record):
 
     decision: str
     statistic: float
-    bound_low: float | None
-    bound_high: float | None
-    p_value: float | None
-
-    def __init__(
-        self,
-        decision: str,
-        statistic: float,
-        bound_low: float | None = None,
-        bound_high: float | None = None,
-        p_value: float | None = None,
-    ) -> None:
-        vars(self).update(
-            decision=decision,
-            statistic=statistic,
-            bound_low=bound_low,
-            bound_high=bound_high,
-            p_value=p_value,
-        )
+    bound_low: float | None = None
+    bound_high: float | None = None
+    p_value: float | None = None
 
     @property
     def accepted(self) -> bool:
@@ -138,9 +120,6 @@ class SampleSizeSpec(Record):
     a: int
     b: int
     n: int
-
-    def __init__(self, a: int, b: int, n: int) -> None:
-        vars(self).update(a=a, b=b, n=n)
 
 
 def relative_frequency(errors: int, total: int) -> float:

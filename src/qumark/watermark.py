@@ -146,11 +146,15 @@ class QuantumMessage(Record):
         return message
 
     def _set(self, palette: tuple, codes: Iterable[int], writing_basis: Basis) -> None:
-        codes = bytes(codes) if len(palette) <= 256 else array("I", codes)
+        out_of_range = IndexOutOfRange(f"palette codes must lie in [0, {len(palette)})")
+        try:
+            codes = bytes(codes) if len(palette) <= 256 else array("I", codes)
+        except (ValueError, OverflowError):  # a code the storage cannot hold
+            raise out_of_range from None
         if not codes:
             raise EmptyMessage("a quantum message needs at least one qubit")
         if max(codes) >= len(palette):
-            raise IndexOutOfRange(f"palette codes must lie in [0, {len(palette)})")
+            raise out_of_range
         # the first entry with an angle keeps its code, later ones map onto it
         code_of: dict[float, int] = {}
         merged = [code_of.setdefault(state.phi, len(code_of)) for state in palette]
@@ -215,9 +219,8 @@ class ObservedMessage(Record):
     bits: str
     observation_basis: Basis
 
-    def __init__(self, bits: str, observation_basis: Basis) -> None:
-        vars(self).update(bits=bits, observation_basis=observation_basis)
-        _check_bitstring(bits)
+    def _check(self) -> None:
+        _check_bitstring(self.bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -232,24 +235,6 @@ class VerificationReport(Record):
     expected_pe: float
     decision: str
     decision_detail: stats.DecisionOutcome
-
-    def __init__(
-        self,
-        error_count: int,
-        sample_size: int,
-        observed_frequency: float,
-        expected_pe: float,
-        decision: str,
-        decision_detail: stats.DecisionOutcome,
-    ) -> None:
-        vars(self).update(
-            error_count=error_count,
-            sample_size=sample_size,
-            observed_frequency=observed_frequency,
-            expected_pe=expected_pe,
-            decision=decision,
-            decision_detail=decision_detail,
-        )
 
     @property
     def accepted(self) -> bool:

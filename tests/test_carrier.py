@@ -124,8 +124,14 @@ class TestIngestPgm:
             ingest_pgm(b"P2\n2 2\n255\n" + bytes(4))
 
     def test_non_integer_field(self):
-        with pytest.raises(MalformedHeader):
-            ingest_pgm(b"P5\nwide 2\n255\n" + bytes(4))
+        # int() would read 1_0 as 10 and accept a sign; no PGM writer emits either
+        for header in (b"wide 2\n255", b"1_0 1\n255", b"+2 2\n255", b"2 2\n+255"):
+            with pytest.raises(MalformedHeader):
+                ingest_pgm(b"P5\n" + header + b"\n" + bytes(4))
+
+    def test_leading_zeros_are_legal(self):
+        _, meta = ingest_pgm(b"P5\n02 002\n0255\n" + bytes(4))
+        assert meta == ImageMeta(2, 2)
 
     def test_nonpositive_dimensions(self):
         with pytest.raises(MalformedHeader):

@@ -107,6 +107,12 @@ class TestDerivationParams:
         with pytest.raises(ValueError):
             DerivationParams(6, 2, eligibility_mask="01011x")
 
+    def test_mask_is_a_str_of_zeros_and_ones(self):
+        with pytest.raises(TypeError):
+            DerivationParams(6, 2, eligibility_mask=list("010110"))
+        with pytest.raises(ValueError, match="eligibility mask may contain only '0' and '1'"):
+            DerivationParams(6, 2, eligibility_mask="010112")
+
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError):
             DerivationParams(0, 1)

@@ -142,8 +142,13 @@ def test_from_palette_checks_its_codes():
     palette = (RebitState(0.0), RebitState(90.0))
     message = QuantumMessage.from_palette(palette, [1, 0, 1], Basis(0.0))
     assert [s.phi for s in message.states] == [90.0, 0.0, 90.0]
-    with pytest.raises(IndexOutOfRange):
-        QuantumMessage.from_palette(palette, [0, 2], Basis(0.0))
+    for codes in ([0, 2], [-1], [256]):
+        with pytest.raises(IndexOutOfRange):
+            QuantumMessage.from_palette(palette, codes, Basis(0.0))
+    wide = tuple(RebitState(0.5 * i) for i in range(300))
+    for codes in ([-1], [2**32]):
+        with pytest.raises(IndexOutOfRange):
+            QuantumMessage.from_palette(wide, codes, Basis(0.0))
     with pytest.raises(EmptyMessage):
         QuantumMessage.from_palette(palette, [], Basis(0.0))
 

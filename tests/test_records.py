@@ -150,6 +150,8 @@ def test_missing_and_unknown_arguments_raise_type_error(case):
         case.cls(*case.args, None)
     with pytest.raises(TypeError):
         case.cls(**keywords, bogus=1)
+    with pytest.raises(TypeError):
+        case.cls(*case.args, **{case.params[0]: case.args[0]})
 
 
 @cases
