@@ -18,7 +18,6 @@ import sys
 
 from . import carrier, fileformats, stats
 from .attacks import averaging_attack, noise_attack, run_attack_report, shift_attack
-from .errors import QumarkError
 from .keys import DerivationParams, SecretKey, generate_secret
 from .qstate import Basis, RandomSource, expected_error_probability
 from .watermark import ObservedMessage, WatermarkSecret, build_message, embed, observe, verify
@@ -352,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (QumarkError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # QumarkError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 means reject, so no failure may exit with it

@@ -11,7 +11,6 @@ issued keys would stop locating their watermarks.
 from __future__ import annotations
 
 import os
-import random
 import struct
 from collections.abc import Iterator
 from itertools import count
@@ -19,7 +18,7 @@ from itertools import count
 from ._record import Record
 from .carrier import _check_bits
 from .errors import TooFewEligiblePositions
-from .qstate import Basis, _check_seed
+from .qstate import Basis, RandomSource
 from .watermark import WatermarkSecret
 
 __all__ = [
@@ -52,8 +51,7 @@ class SecretKey(Record):
         """Fresh 32-byte key, from system entropy or reproducibly from a nonnegative seed."""
         if seed is None:
             return cls(os.urandom(32))
-        _check_seed(seed)
-        return cls(random.Random(seed).randbytes(32))
+        return cls(RandomSource(seed).randbytes(32))
 
 
 class DerivationParams(Record):

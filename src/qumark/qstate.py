@@ -105,28 +105,26 @@ class RebitState(Record):
         return _ring_distance(self.phi, other.phi, 180.0) <= ANGLE_TOLERANCE
 
 
-def _check_seed(seed: int | None) -> None:
-    # random.Random seeds with abs(), so -5 would silently replay 5
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-
-
-class RandomSource:
+class RandomSource(random.Random):
     """Seedable stream of uniform draws in [0, 1).
 
     Equal seeds yield equal streams on every platform, which is what makes
-    embed and observe transcripts reproducible. A negative seed raises
-    ValueError. A source is single-consumer: concurrent users must take one
-    source each, or draw order is undefined.
+    embed and observe transcripts reproducible: draw is random.Random.random
+    itself, so RandomSource(s) draws what random.Random(s) does. A negative
+    seed raises ValueError. A source is single-consumer: concurrent users
+    must take one source each, or draw order is undefined.
     """
 
     def __init__(self, seed: int | None = None) -> None:
-        _check_seed(seed)
-        self._rng = random.Random(seed)
+        super().__init__(seed)
 
-    def draw(self) -> float:
-        """Return the next uniform draw in [0, 1)."""
-        return self._rng.random()
+    def seed(self, a: int | None = None, version: int = 2) -> None:
+        # random.Random seeds with abs(), so -5 would silently replay 5
+        if a is not None and a < 0:
+            raise ValueError(f"seed must be nonnegative, got {a}")
+        super().seed(a, version)
+
+    draw = random.Random.random  # the next uniform draw in [0, 1)
 
 
 def encode_bit(bit: int, basis: Basis) -> RebitState:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 import warnings
 from array import array
-from collections.abc import Iterable, Mapping, MutableSequence, Sequence
+from collections.abc import Iterable, MutableSequence, Sequence
 
 from . import stats
 from ._record import Record
@@ -84,9 +84,9 @@ def _check_indices(indices: Sequence[int], length: int) -> None:
 def _flip_kernel(
     codes: MutableSequence[int],
     positions: Iterable[int],
-    threshold: Sequence[float] | Mapping[int, float],
-    below: Sequence[int] | Mapping[int, int],
-    above: Sequence[int] | Mapping[int, int],
+    threshold: Sequence[float],
+    below: Sequence[int],
+    above: Sequence[int],
     rng: RandomSource,
 ) -> None:
     """Redraw codes[i] for each i in positions, in place.
@@ -102,19 +102,27 @@ def _flip_kernel(
         codes[i] = below[c] if draw() < threshold[c] else above[c]
 
 
-# '0' and '1' as ASCII codes, the code tables that keep or flip them, and
-# the map from ASCII bits to 0 and 1, the codes of a two-entry palette
-_ZERO, _ONE = b"01"
+def _measure(
+    message: QuantumMessage, basis: Basis, positions: Iterable[int], zero: int, one: int,
+    rng: RandomSource,
+) -> list[int]:
+    """A copy of the message's codes with each one at positions measured in basis: zero or one."""
+    read0 = [outcome_probability(s, basis, 0) for s in message.palette]
+    codes = list(message.codes)
+    _flip_kernel(codes, positions, read0, [zero] * len(read0), [one] * len(read0), rng)
+    return codes
+
+
+# the maps between ASCII bits and 0 and 1, the codes of a two-entry palette
 _BITS_TO_CODES = bytes.maketrans(b"01", b"\x00\x01")
-_KEEP = {_ZERO: _ZERO, _ONE: _ONE}
-_FLIP = {_ZERO: _ONE, _ONE: _ZERO}
+_CODES_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _flip_bits(bits: str, positions: Iterable[int], rate: float, rng: RandomSource) -> str:
     """Flip bits[i] for each i in positions with probability rate: draw < rate flips."""
-    codes = list(bits.encode("ascii"))
-    _flip_kernel(codes, positions, {_ZERO: rate, _ONE: rate}, _FLIP, _KEEP, rng)
-    return bytes(codes).decode("ascii")
+    codes = list(bits.encode("ascii").translate(_BITS_TO_CODES))
+    _flip_kernel(codes, positions, (rate, rate), (1, 0), (0, 1), rng)
+    return bytes(codes).translate(_CODES_TO_BITS).decode("ascii")
 
 
 class QuantumMessage(Record):
@@ -292,19 +300,15 @@ def embed(
     # marking basis's eigenstate of what it read, code size or size + 1
     size = len(message.palette)
     palette = message.palette + (encode_bit(0, secret.mark_basis), encode_bit(1, secret.mark_basis))
-    read0 = [outcome_probability(s, message.writing_basis, 0) for s in message.palette]
-    codes = list(message.codes)
-    _flip_kernel(codes, secret.indices, read0, [size] * size, [size + 1] * size, rng)
+    codes = _measure(message, message.writing_basis, secret.indices, size, size + 1, rng)
     return QuantumMessage.from_palette(palette, codes, message.writing_basis)
 
 
 def observe(message: QuantumMessage, basis: Basis, rng: RandomSource) -> ObservedMessage:
     """Measure every qubit in basis, consuming one draw per position in order."""
-    size = len(message.palette)
-    read0 = [outcome_probability(s, basis, 0) for s in message.palette]
-    codes = list(message.codes)
-    _flip_kernel(codes, range(len(codes)), read0, [_ZERO] * size, [_ONE] * size, rng)
-    return ObservedMessage(bits=bytes(codes).decode("ascii"), observation_basis=basis)
+    codes = _measure(message, basis, range(len(message)), 0, 1, rng)
+    bits = bytes(codes).translate(_CODES_TO_BITS).decode("ascii")
+    return ObservedMessage(bits=bits, observation_basis=basis)
 
 
 def verify(

@@ -5,7 +5,8 @@ palette codes. They must reproduce, draw for draw, the per-object reference
 kept here: qstate.measure applied to each RebitState in order. The v1 message
 file must stay byte-identical to json.dumps of the whole document, and numpy's
 MT19937, loaded from the state of random.Random, serves as an independent
-oracle for the observe transcript.
+oracle for the observe transcript. A RandomSource subclass that overrides
+draw sees every draw of all four kernel users.
 """
 
 import json
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qumark.attacks import noise_attack
 from qumark.errors import EmptyMessage, IndexOutOfRange
 from qumark.fileformats import _format_angle, dump_quantum_message, load_quantum_message
 from qumark.qstate import (
@@ -28,7 +30,15 @@ from qumark.qstate import (
     measure,
     outcome_probability,
 )
-from qumark.watermark import QuantumMessage, WatermarkSecret, embed, observe
+from qumark.watermark import (
+    ObservedMessage,
+    QuantumMessage,
+    WatermarkSecret,
+    build_message,
+    classical_flip_embed,
+    embed,
+    observe,
+)
 
 # eigenstates of the usual bases, plus arbitrary angles
 STATE_ANGLES = st.one_of(
@@ -227,3 +237,49 @@ class TestNumpyOracle:
         draws = oracle.random_sample(len(message))
         read0 = np.array([outcome_probability(s, basis, 0) for s in message.states])
         assert observed.bits == "".join(np.where(draws < read0, "0", "1"))
+
+
+class RecordingSource(RandomSource):
+    """A source that keeps every draw it hands out, through an overriding draw."""
+
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        self.drawn = []
+
+    def draw(self):
+        value = super().draw()
+        self.drawn.append(value)
+        return value
+
+
+PLAIN = "".join(random.Random(9).choice("01") for _ in range(3000))
+WRITING = Basis(0.0)
+MARKS = WatermarkSecret(range(1, 3000, 7), Basis(30.0))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    MARKED = embed(build_message(PLAIN, WRITING), MARKS, RandomSource(5))
+
+# each kernel user, and the draws it makes
+KERNEL_USERS = {
+    "observe": (lambda rng: observe(MARKED, Basis(20.0), rng), len(PLAIN)),
+    "embed": (lambda rng: embed(MARKED, MARKS, rng), len(MARKS.indices)),
+    "classical_flip_embed": (
+        lambda rng: classical_flip_embed(PLAIN, MARKS.indices, 0.25, rng), len(MARKS.indices)
+    ),
+    "noise_attack": (
+        lambda rng: noise_attack(ObservedMessage(PLAIN, WRITING), 0.1, rng), len(PLAIN)
+    ),
+}
+
+
+class TestSubclassTranscript:
+    @pytest.mark.parametrize("user", sorted(KERNEL_USERS))
+    @pytest.mark.parametrize("seed", [0, 41, 2**40 + 3])
+    def test_an_overriding_draw_sees_the_base_stream(self, user, seed):
+        run, draws = KERNEL_USERS[user]
+        recording = RecordingSource(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(recording) == run(RandomSource(seed))
+        base = RandomSource(seed)
+        assert recording.drawn == [base.draw() for _ in range(draws)]

@@ -1,6 +1,9 @@
 """Tests for rebit states, bases, and Born-rule measurement."""
 
+import copy
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +220,29 @@ class TestRandomSource:
     def test_unseeded_draws_stay_in_range(self):
         rng = RandomSource()
         assert all(0.0 <= rng.draw() < 1.0 for _ in range(100))
+
+    def test_draws_are_the_random_module_stream(self):
+        rng, base = RandomSource(seed=2024), random.Random(2024)
+        assert [rng.draw() for _ in range(1000)] == [base.random() for _ in range(1000)]
+
+    def test_reseeding_with_a_negative_seed_is_refused(self):
+        rng = RandomSource(3)
+        with pytest.raises(ValueError):
+            rng.seed(-1)
+        # the refused reseed leaves the stream where it was
+        assert rng.draw() == RandomSource(3).draw()
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda rng: pickle.loads(pickle.dumps(rng))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copy_taken_mid_stream_continues_the_stream(self, clone):
+        rng = RandomSource(8)
+        for _ in range(17):
+            rng.draw()
+        twin = clone(rng)
+        assert type(twin) is RandomSource
+        assert [twin.draw() for _ in range(500)] == [rng.draw() for _ in range(500)]
 
 
 class TestExpectedErrorProbability:
