@@ -10,6 +10,8 @@ canonical.
 
 from __future__ import annotations
 
+import re
+
 from ._record import Record
 from .errors import (
     EmptyInput,
@@ -34,7 +36,10 @@ __all__ = [
 RAW = "raw"
 PGM_LSB = "pgm_lsb"
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# ingest_pgm's header; bytes \s is PGM's six whitespace bytes. A pass of the
+# group takes a comment and the whitespace after it, so long runs are cheap.
+# re.match compiles it on first use, so a run that reads no image never does.
+_HEADER = rb"\s*(?:#[^\n]*\s*)*(\S*)" * 4 + rb"(\s?)"
 
 
 def bytes_to_bits(data: bytes) -> str:
@@ -66,6 +71,11 @@ class CarrierPayload(Record):
     format_tag: str
 
     def _check(self) -> None:
+        for name in ("bits", "eligibility_mask"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"{name} must be a str of '0'/'1', got {type(value).__name__}")
+            _check_bits(value, name)
         if self.format_tag not in (RAW, PGM_LSB):
             raise ValueError(f"unknown format tag {self.format_tag!r}")
         if len(self.eligibility_mask) != len(self.bits):
@@ -92,23 +102,6 @@ class ImageMeta(Record):
             raise UnsupportedMaxval(f"only 8-bit images are supported, maxval is {max_value}")
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    while pos < len(data):
-        if data[pos] in _WHITESPACE:
-            pos += 1
-        elif data[pos] == 0x23:  # '#' comment runs to end of line
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and data[pos] not in _WHITESPACE:
-        pos += 1
-    if start == pos:
-        raise MalformedHeader("header ended before all fields were read")
-    return data[start:pos], pos
-
-
 def ingest_raw(data: bytes) -> CarrierPayload:
     """Expand raw bytes to bits with every position eligible.
 
@@ -124,18 +117,24 @@ def ingest_raw(data: bytes) -> CarrierPayload:
 def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
     """Parse a binary PGM (magic P5, 8-bit) into payload bits and image metadata.
 
-    The eligibility mask admits only the least significant bit of each pixel
-    byte. Header whitespace and '#' comments are accepted anywhere tokens may
-    be separated.
+    The header is the magic P5, then width, height and maxval in ASCII
+    digits, each after any run of whitespace (space, tab, LF, CR, VT, FF) and
+    '#' comments to the end of a line; a '#' glued to a token is part of it.
+    One whitespace byte and width * height pixel bytes end the data. The
+    eligibility mask admits only the least significant bit of each pixel byte.
     """
     if not data:
         raise EmptyInput("image payload is empty")
-    magic, pos = _next_token(data, 0)
-    if magic != b"P5":
-        raise MalformedHeader(f"expected P5 magic, got {magic[:8]!r}")
+    header = re.match(_HEADER, data)
+    *tokens, separator = header.groups()
     fields = []
-    for name in ("width", "height", "maxval"):
-        token, pos = _next_token(data, pos)
+    for name, token in zip(("magic", "width", "height", "maxval"), tokens):
+        if not token:  # the data ran out, so every later token is empty too
+            raise MalformedHeader("header ended before all fields were read")
+        if name == "magic":
+            if token != b"P5":
+                raise MalformedHeader(f"expected P5 magic, got {token[:8]!r}")
+            continue
         try:
             # int() would also take a sign and underscores, which no PGM writer emits
             if not token.isdigit():
@@ -147,9 +146,9 @@ def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
     if not 1 <= maxval <= 65535:
         raise MalformedHeader(f"maxval {maxval} is outside the legal range")
     meta = ImageMeta(width=width, height=height, max_value=maxval)
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not separator:
         raise MalformedHeader("missing single whitespace before pixel data")
-    pos += 1
+    pos = header.end()
     expected = width * height
     pixels = data[pos : pos + expected]
     if len(pixels) < expected:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import re
 
 from .carrier import bits_to_bytes, bytes_to_bits
-from .errors import MalformedFile, UnsupportedVersion
+from .errors import InvalidProbability, MalformedFile, UnsupportedVersion
 from .qstate import Basis, RebitState
 from .watermark import ObservedMessage, QuantumMessage, WatermarkSecret
 
@@ -46,10 +47,11 @@ def _format_angle(value: float, period: float) -> str:
 def _parse_angle(value: object, field: str, period: float) -> float:
     if not isinstance(value, str):
         raise MalformedFile(f"{field} must be a fixed-point string, got {type(value).__name__}")
-    try:
-        angle = float(value)
-    except ValueError:
-        raise MalformedFile(f"{field} is not a number: {value!r}") from None
+    # what _format_angle writes; float() would also take "4_5", " 45 ", "4.5e1"
+    # and digits of other scripts, which \d matches too
+    if not re.fullmatch(r"[0-9]+(?:\.[0-9]+)?", value):
+        raise MalformedFile(f"{field} is not a fixed-point decimal: {value!r}")
+    angle = float(value)
     if not 0.0 <= angle < period:
         raise MalformedFile(f"{field} must lie in [0, {period:g}), got {value}")
     return angle
@@ -74,10 +76,15 @@ def _decode(text: str | bytes, kind: str) -> str:
         raise MalformedFile(f"{kind} file is not valid JSON: {exc}") from None
 
 
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load(text: str, expected_version: int, kind: str) -> dict:
     try:
-        document = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError or an over-long integer
+        # json.loads takes NaN and Infinity by default; RFC 8259 has neither
+        document = json.loads(text, parse_constant=_refuse_constant)
+    except ValueError as exc:  # a JSONDecodeError, an over-long integer or a constant
         raise MalformedFile(f"{kind} file is not valid JSON: {exc}") from None
     except RecursionError:
         raise MalformedFile(f"{kind} file nests too deeply to parse") from None
@@ -119,6 +126,8 @@ def dump_secret(secret: WatermarkSecret, expected_pe: float) -> str:
     The stored rate is advisory. Verification recomputes the rate from the
     bases actually in play, so editing this field cannot flip a verdict.
     """
+    if not 0.0 <= expected_pe <= 1.0:  # also refuses NaN, which JSON cannot hold
+        raise InvalidProbability(f"expected_pe must be in [0, 1], got {expected_pe}")
     key_field = None
     if secret.key is not None:
         key_field = base64.b64encode(secret.key).decode("ascii")
@@ -157,6 +166,8 @@ def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
         expected_pe = float(expected_pe)  # an integer past 2**1024 overflows
     except (ValueError, OverflowError) as exc:
         raise MalformedFile(f"secret file holds an invalid secret: {exc}") from None
+    if not 0.0 <= expected_pe <= 1.0:  # what dump_secret refuses to write
+        raise MalformedFile(f"expected_pe must be in [0, 1], got {expected_pe}")
     return secret, expected_pe
 
 

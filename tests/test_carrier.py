@@ -71,6 +71,17 @@ class TestCarrierPayload:
         with pytest.raises(ValueError):
             CarrierPayload(bits="01", eligibility_mask="11", format_tag="wav")
 
+    @pytest.mark.parametrize("bits,mask", [("01x2", "1111"), ("0110", "1a11"), ("01", "1\uff11")])
+    def test_bits_and_mask_are_binary_strings(self, bits, mask):
+        # the payload refuses them itself, not emit or DerivationParams later
+        with pytest.raises(ValueError):
+            CarrierPayload(bits, mask, RAW)
+
+    @pytest.mark.parametrize("bits,mask", [(b"01", "11"), ("01", ["1", "1"])])
+    def test_bits_and_mask_are_str(self, bits, mask):
+        with pytest.raises(TypeError):
+            CarrierPayload(bits, mask, RAW)
+
 
 class TestIngestRaw:
     def test_everything_is_eligible(self):
@@ -261,3 +272,76 @@ def test_arbitrary_bytes_ingest_or_raise_a_qumark_error(data):
     except QumarkError:
         return
     assert len(payload.bits) == 8 * meta.width * meta.height
+
+
+WHITESPACE_RUNS = st.lists(st.sampled_from(b" \t\n\r\x0b\x0c"), min_size=1, max_size=3).map(bytes)
+COMMENT_TEXT = st.binary(max_size=4).map(lambda text: text.replace(b"\n", b""))
+COMMENTS = COMMENT_TEXT.map(lambda text: b"#" + text + b"\n")
+GAPS = st.lists(WHITESPACE_RUNS | COMMENTS, max_size=3).map(b"".join)
+
+
+CUT_SHORT = "header ended before all fields were read"
+
+
+@st.composite
+def pgm_headers(draw):
+    """(data, expected): an image whose header tokens are joined by random separators.
+
+    expected is the (payload, meta) ingest_pgm returns, or the error type and
+    the start of its message when a '#' is glued to a token, a comment
+    without its newline ends the data, or the data stops inside the header.
+    """
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pixels = draw(st.binary(min_size=width * height, max_size=width * height))
+    tokens = [b"P5", b"%d" % width, b"%d" % height, b"255"]
+    # a separator between two tokens opens with whitespace; one before the magic need not
+    gaps = [draw(GAPS)] + [draw(WHITESPACE_RUNS) + draw(GAPS) for _ in range(3)]
+    expected = (
+        CarrierPayload(bytes_to_bits(pixels), "00000001" * len(pixels), PGM_LSB),
+        ImageMeta(width, height),
+    )
+    mode = draw(st.sampled_from(["valid", "glued", "comment at end", "cut"]))
+    if mode == "glued":  # a '#' right after a token belongs to the token
+        glued = draw(st.integers(0, 3))
+        tokens[glued] += b"#" + draw(st.binary(max_size=3).map(lambda b: b"".join(b.split())))
+        message = "expected P5 magic" if glued == 0 else "[a-z]+ is not an integer"
+        expected = MalformedHeader, message
+    header = b""
+    for gap, token in zip(gaps, tokens):
+        header += gap
+        maxval_at = len(header)
+        header += token
+    separator = draw(st.sampled_from(b" \t\n\r\x0b\x0c"))
+    data = header + bytes([separator]) + pixels
+    if mode == "comment at end":  # the comment swallows every later token
+        before = draw(st.integers(0, 3))
+        data = b"".join(g + t for g, t in zip(gaps[:before], tokens)) + gaps[before]
+        data += b"#" + draw(COMMENT_TEXT)
+        expected = MalformedHeader, CUT_SHORT
+    elif mode == "cut":
+        cut = draw(st.integers(0, len(header)))
+        data = header[:cut]
+        # width and height have one digit, so only the magic and maxval can be cut inside
+        if cut == 0:
+            expected = EmptyInput, "image payload is empty"
+        elif len(gaps[0]) < cut < len(gaps[0]) + 2:
+            expected = MalformedHeader, "expected P5 magic, got b'P'"
+        elif maxval_at < cut < len(header):
+            expected = UnsupportedMaxval, "only 8-bit"  # "2" and "25" are legal maxvals
+        elif cut == len(header):
+            expected = MalformedHeader, "missing single whitespace"
+        else:
+            expected = MalformedHeader, CUT_SHORT
+    return data, expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(pgm_headers())
+def test_headers_with_random_separators(case):
+    data, expected = case
+    if isinstance(expected[0], CarrierPayload):
+        assert ingest_pgm(data) == expected
+    else:
+        error, message = expected
+        with pytest.raises(error, match=f"^{message}"):
+            ingest_pgm(data)

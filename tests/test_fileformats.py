@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qumark.errors import MalformedFile, UnsupportedVersion
+from qumark.errors import InvalidProbability, MalformedFile, UnsupportedVersion
 from qumark.fileformats import (
     _decode,
     dump_observation,
@@ -157,6 +157,45 @@ def test_over_long_integer_is_a_malformed_file(load, text):
 def test_expected_pe_beyond_float_range_is_a_malformed_file():
     with pytest.raises(MalformedFile):
         load_secret(mutate(dump_secret(SECRET, 0.5), expected_pe=10**400))
+
+
+@pytest.mark.parametrize(
+    "angle", ["4_5", "\u0664\u0665", " 45 ", "4.5e1", "+45", "45.", ".5", "0x2d"]
+)
+@pytest.mark.parametrize("load,text,field", [
+    (load_secret, dump_secret(SECRET, 0.5), "mark_basis_theta"),
+    (load_observation, dump_observation(OBSERVATION), "observation_basis_theta"),
+    (load_quantum_message, dump_quantum_message(MESSAGE), "states"),
+], ids=["secret", "observation", "message"])
+def test_angles_take_only_the_fixed_point_form(load, text, field, angle):
+    # float() reads every one of these but the last; _format_angle writes none
+    value = [angle] if field == "states" else angle
+    with pytest.raises(MalformedFile, match="not a fixed-point decimal"):
+        load(mutate(text, **{field: value}))
+
+
+@pytest.mark.parametrize("expected_pe", [float("nan"), float("inf"), -0.25, 7.5])
+def test_dump_secret_refuses_a_rate_outside_the_unit_interval(expected_pe):
+    with pytest.raises(InvalidProbability):
+        dump_secret(SECRET, expected_pe)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("load,text,field", [
+    (load_secret, dump_secret(SECRET, 0.5), "expected_pe"),
+    (load_observation, dump_observation(OBSERVATION), "bit_length"),
+    (load_quantum_message, dump_quantum_message(MESSAGE), "version"),
+], ids=["secret", "observation", "message"])
+def test_non_finite_json_constants_are_a_malformed_file(load, text, field, constant):
+    # json.loads reads these by default; RFC 8259 has no such tokens
+    text = mutate(text, **{field: "@"}).replace('"@"', constant)
+    with pytest.raises(MalformedFile, match=f"{constant} is not a JSON number"):
+        load(text)
+
+
+def test_load_secret_refuses_a_rate_dump_secret_would_not_write():
+    with pytest.raises(MalformedFile):
+        load_secret(mutate(dump_secret(SECRET, 0.5), expected_pe=7.5))
 
 
 JSON_VALUES = st.recursive(
