@@ -49,7 +49,9 @@ def bytes_to_bits(data: bytes) -> str:
 
 
 def _check_bits(bits: str, what: str = "bits") -> None:
-    """Raise ValueError unless every character of bits is '0' or '1'."""
+    """Raise TypeError unless bits is a str, ValueError unless its characters are '0' or '1'."""
+    if not isinstance(bits, str):
+        raise TypeError(f"{what} must be a str of '0'/'1', got {type(bits).__name__}")
     # int(_, 2) would also accept a 0b prefix, underscores and whitespace
     if bits.encode("ascii", "replace").translate(None, b"01"):
         raise ValueError(f"{what} may contain only '0' and '1'")
@@ -72,10 +74,7 @@ class CarrierPayload(Record):
 
     def _check(self) -> None:
         for name in ("bits", "eligibility_mask"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise TypeError(f"{name} must be a str of '0'/'1', got {type(value).__name__}")
-            _check_bits(value, name)
+            _check_bits(getattr(self, name), name)
         if self.format_tag not in (RAW, PGM_LSB):
             raise ValueError(f"unknown format tag {self.format_tag!r}")
         if len(self.eligibility_mask) != len(self.bits):

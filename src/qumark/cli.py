@@ -6,7 +6,8 @@ renders a verdict, attack runs the adversary toolkit, analyze plans index
 set sizes. Exit status is 0 for success or an accept verdict, 1 for a
 reject verdict, and 2 for usage, format, or consistency errors and for any
 other failure. Randomized subcommands take --seed, falling back to the
-QUMARK_SEED environment variable, then to system entropy.
+QUMARK_SEED environment variable, then to system entropy. A library
+warning prints as one "warning: <text>" line on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import os
 import stat
 import sys
+import warnings
 
 from . import carrier, fileformats, stats
 from .attacks import averaging_attack, noise_attack, run_attack_report, shift_attack
@@ -347,10 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message: Warning | str, *_: object, **__: object) -> None:
+    """warnings.showwarning for the command line: one line, without the source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.handler(args)
     except (ValueError, OSError) as exc:  # QumarkError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import re
 from .carrier import bits_to_bytes, bytes_to_bits
 from .errors import InvalidProbability, MalformedFile, UnsupportedVersion
 from .qstate import Basis, RebitState
-from .watermark import ObservedMessage, QuantumMessage, WatermarkSecret
+from .watermark import ObservedMessage, QuantumMessage, WatermarkSecret, _int_items
 
 __all__ = [
     "SECRET_FORMAT_VERSION",
@@ -105,21 +105,6 @@ def _field(document: dict, name: str, kind: str) -> object:
     return document[name]
 
 
-def _int_items(indices: list) -> bool:
-    """True when every index is an int, or a bool sits only where the secret refuses it.
-
-    One pass, in C: sum is an int exactly when every item is an int or a
-    bool, since a float makes it a float and any other JSON value raises
-    TypeError. The secret takes only nonnegative, strictly increasing
-    indices, where the one at position i is at least i, so a bool (0 or 1)
-    could pass it only at position 0 or 1.
-    """
-    try:
-        return type(sum(indices)) is int and bool not in map(type, indices[:2])
-    except TypeError:
-        return False
-
-
 def dump_secret(secret: WatermarkSecret, expected_pe: float) -> str:
     """Serialize a secret; expected_pe records the flip rate planned at key time.
 
@@ -162,7 +147,7 @@ def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
     if not isinstance(expected_pe, (int, float)) or isinstance(expected_pe, bool):
         raise MalformedFile("expected_pe must be a number")
     try:
-        secret = WatermarkSecret._from_ints(tuple(indices), Basis(theta), key)
+        secret = WatermarkSecret(indices, Basis(theta), key)
         expected_pe = float(expected_pe)  # an integer past 2**1024 overflows
     except (ValueError, OverflowError) as exc:
         raise MalformedFile(f"secret file holds an invalid secret: {exc}") from None

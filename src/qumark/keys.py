@@ -72,13 +72,11 @@ class DerivationParams(Record):
         if self.mark_count < 1:
             raise ValueError(f"mark count must be positive, got {self.mark_count}")
         if mask is not None:
-            if not isinstance(mask, str):
-                raise TypeError(f"eligibility mask must be a str, got {type(mask).__name__}")
+            _check_bits(mask, "eligibility mask")
             if len(mask) != message_length:
                 raise ValueError(
                     f"mask length {len(mask)} does not match message length {message_length}"
                 )
-            _check_bits(mask, "eligibility mask")
         eligible = self.eligible_count()
         if self.mark_count > eligible:
             raise TooFewEligiblePositions(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, repeat
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from ._record import Record
 from .errors import (
@@ -253,6 +253,7 @@ def _exact_binomial_p_value(errors: int, total: int, rate: float) -> float:
 
 def decide(errors: int, total: int, expected_pe: float, rule: DecisionRule) -> DecisionOutcome:
     """Apply rule to an observed error count against the expected flip rate."""
+    errors, total = index(errors), index(total)  # every rule needs whole counts
     statistic = relative_frequency(errors, total)
     if not 0.0 <= expected_pe <= 1.0:
         raise InvalidProbability(f"expected rate must be in [0, 1], got {expected_pe}")

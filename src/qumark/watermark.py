@@ -15,6 +15,7 @@ import operator
 import warnings
 from array import array
 from collections.abc import Iterable, MutableSequence, Sequence
+from itertools import islice
 
 from . import stats
 from ._record import Record
@@ -66,11 +67,9 @@ class WeakWatermarkWarning(UserWarning):
 
 
 def _check_bitstring(bits: str) -> None:
-    if not isinstance(bits, str):
-        raise TypeError(f"bits must be a str of '0'/'1', got {type(bits).__name__}")
+    _check_bits(bits)
     if not bits:
         raise EmptyMessage("message bits must be nonempty")
-    _check_bits(bits)
 
 
 def _check_indices(indices: Sequence[int], length: int) -> None:
@@ -188,6 +187,21 @@ class QuantumMessage(Record):
         )
 
 
+def _int_items(indices: Sequence) -> bool:
+    """True when the indices can be kept as given: all ints, and no bool a secret could take.
+
+    One pass, in C: a sum of ints (subclasses included) is an int, while a
+    float makes it a float, numpy integers keep their own type and a str
+    raises TypeError. A secret takes only nonnegative, strictly increasing
+    indices, where the one at position i is at least i, so a bool (0 or 1)
+    could pass it only at position 0 or 1; one further on is refused as is.
+    """
+    try:
+        return type(sum(indices)) is int and bool not in map(type, indices[:2])
+    except TypeError:
+        return False
+
+
 class WatermarkSecret(Record):
     """Verification secret: marked positions, marking basis, optional key bytes.
 
@@ -200,24 +214,15 @@ class WatermarkSecret(Record):
     key: bytes | None
 
     def __init__(self, indices: Iterable[int], mark_basis: Basis, key: bytes | None = None) -> None:
-        self._set(tuple(map(int, indices)), mark_basis, key)
-
-    @classmethod
-    def _from_ints(
-        cls, indices: tuple[int, ...], mark_basis: Basis, key: bytes | None
-    ) -> WatermarkSecret:
-        """A secret whose indices are already a tuple of ints, which skips the int() pass."""
-        secret = cls.__new__(cls)
-        secret._set(indices, mark_basis, key)
-        return secret
-
-    def _set(self, indices: tuple[int, ...], mark_basis: Basis, key: bytes | None) -> None:
+        indices = tuple(indices)
+        if not _int_items(indices):
+            indices = tuple(map(int, indices))
         vars(self).update(indices=indices, mark_basis=mark_basis, key=key)
         if not indices:
             raise ValueError("index set must not be empty")
         if indices[0] < 0:
             raise IndexOutOfRange(f"indices must be nonnegative, got {indices[0]}")
-        if not all(map(operator.lt, indices, indices[1:])):
+        if not all(map(operator.lt, indices, islice(indices, 1, None))):  # islice copies nothing
             raise ValueError("indices must be strictly increasing")
 
 

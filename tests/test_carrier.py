@@ -57,6 +57,11 @@ class TestBitPacking:
         with pytest.raises(ValueError):
             bits_to_bytes(bits)
 
+    @pytest.mark.parametrize("bits", [123, b"10100101"])
+    def test_non_str_bits_are_a_type_error(self, bits):
+        with pytest.raises(TypeError):
+            bits_to_bytes(bits)
+
     def test_empty_input(self):
         assert bytes_to_bits(b"") == ""
         assert bits_to_bytes("") == b""

@@ -273,6 +273,13 @@ class TestErrorExits:
         assert cli.main(["observe", "--in", str(paths["marked"])]) == 2
         assert capsys.readouterr().err == "error: unexpected RuntimeError: boom\n"
 
+    @pytest.mark.filterwarnings("always::qumark.watermark.SmallSampleWarning")
+    def test_a_library_warning_prints_one_line(self, tmp_path, capsys):
+        run_pipeline(tmp_path, count=8)  # embed warns once; keygen and observe are silent
+        assert capsys.readouterr().err == (
+            "warning: only 8 marked positions; verification on so few is statistically weak\n"
+        )
+
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])

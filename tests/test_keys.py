@@ -120,6 +120,10 @@ class TestDerivationParams:
         with pytest.raises(ValueError, match="eligibility mask may contain only '0' and '1'"):
             DerivationParams(6, 2, eligibility_mask="010112")
 
+    def test_a_non_str_mask_names_the_bit_alphabet(self):
+        with pytest.raises(TypeError, match="of '0'/'1'"):
+            DerivationParams(6, 2, eligibility_mask=list("010110"))
+
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError):
             DerivationParams(0, 1)

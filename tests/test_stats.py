@@ -109,6 +109,19 @@ class TestDecisionRule:
             DecisionRule(kind="coin_flip", confidence=0.5)
 
 
+class TestDecideCounts:
+    RULES = [DecisionRule.fixed(0.25), DecisionRule.wilson(0.99), DecisionRule.exact_binomial(0.99)]
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.kind)
+    def test_a_fractional_count_is_a_type_error(self, rule):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            decide(2.5, 10, 0.25, rule)
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.kind)
+    def test_numpy_integer_counts_decide_like_ints(self, rule):
+        assert decide(np.int64(3), np.uint16(10), 0.25, rule) == decide(3, 10, 0.25, rule)
+
+
 class TestFixedTolerance:
     def test_worked_example_two_of_four(self):
         outcome = decide(2, 4, 0.5, DecisionRule.fixed(0.25))

@@ -6,6 +6,7 @@ seeded Monte Carlo runs against the Binomial law they must follow, and
 against the classical flip model that mirrors the pipeline.
 """
 
+import operator
 import warnings
 
 import numpy as np
@@ -41,6 +42,20 @@ from qumark.watermark import (
 WRITING = Basis(0.0)
 MARK45 = Basis(45.0)
 MARK30 = Basis(30.0)
+
+
+@st.composite
+def spelled_indices(draw):
+    """Index lists, mostly valid, each index spelled as an int, a float, a bool or a str."""
+    values = draw(st.lists(st.integers(-1, 2**70), max_size=6, unique=True))
+    if draw(st.booleans()):
+        values.sort()
+
+    def spellings(value):
+        spelled = [value, str(value), float(value) + 0.5]
+        return spelled + [bool(value)] if value in (0, 1) else spelled
+
+    return [draw(st.sampled_from(spellings(value))) for value in values]
 
 
 class CountingSource(RandomSource):
@@ -96,6 +111,21 @@ class TestMessageTypes:
         except ValueError:
             indices = None
         assert indices == reference(raw)
+
+    @given(spelled_indices() | st.lists(st.integers(-1, 2**70) | st.booleans(), max_size=6))
+    def test_secret_indices_are_the_per_index_ints(self, raw):
+        def outcome(values):
+            try:
+                return WatermarkSecret(indices=values, mark_basis=MARK45).indices
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        got = outcome(raw)
+        assert got == outcome([int(i) for i in raw])
+        if not isinstance(got[0], type):  # a secret was made
+            assert all(type(i) is int for i in got)
+            if all(type(i) is int for i in raw):
+                assert all(map(operator.is_, got, raw))
 
     def test_observed_message_validates_bits(self):
         observed = ObservedMessage(bits="0101", observation_basis=WRITING)
