@@ -7,7 +7,9 @@ of work, and an owner audit starts one per suspect.
 
 A record is its annotations, in order, plus a class-level value for each
 field that has a default, plus a _check method for its invariants. Only a
-record that transforms its arguments writes its own __init__.
+record that transforms its arguments writes its own __init__, and that too
+takes exactly the record's fields, so every record's repr is a call that
+rebuilds it.
 """
 
 from __future__ import annotations

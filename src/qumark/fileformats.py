@@ -186,7 +186,7 @@ def load_quantum_message(text: str | bytes) -> QuantumMessage:
     # each distinct string is parsed once
     palette = [RebitState(_parse_angle(text, "state phi", 180.0)) for text in code_of]
     try:
-        return QuantumMessage.from_palette(palette, map(code_of.__getitem__, states), Basis(theta))
+        return QuantumMessage(palette, map(code_of.__getitem__, states), Basis(theta))
     except ValueError as exc:
         raise MalformedFile(f"message file holds an invalid message: {exc}") from None
 

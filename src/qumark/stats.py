@@ -311,12 +311,15 @@ def _rejection_power(
 
 
 def recommended_sample_size(pe: float, null_rate: float, confidence: float, power: float) -> int:
-    """Smallest index-set size whose exact-binomial verification tells pe from null_rate.
+    """An index-set size whose exact-binomial verification tells pe from null_rate.
 
-    Returns the least n such that a test of H0 "bits flip at rate pe" at the
-    given confidence rejects with probability >= power when the true flip
-    rate is null_rate (0.0 models an unwatermarked copy). Raises Unachievable
-    when no n up to MAX_SAMPLE_SIZE suffices.
+    Returns an n at which a test of H0 "bits flip at rate pe" at the given
+    confidence rejects with probability >= power when the true flip rate is
+    null_rate (0.0 models an unwatermarked copy). n is found by bisection
+    plus a rescan of the 64 sizes below the bisected one, so it is the least
+    such n only where the power's ripples are narrower than that window; for
+    rates of 0.02 or less it can be larger. Raises Unachievable when no n up
+    to MAX_SAMPLE_SIZE suffices.
     """
     if not 0.0 < pe < 1.0:
         raise InvalidProbability(f"pe must be in (0, 1), got {pe}")

@@ -131,28 +131,19 @@ class QuantumMessage(Record):
     angles are merged when a message is built, and each position holds
     the palette code of its state: bytes while the palette has at most 256
     entries, array('I') above that. states expands the codes into one
-    RebitState per position. Equality compares position by position with
-    the states' own angle tolerance, whatever the two palettes look like.
+    RebitState per position; a caller with one state per position passes
+    range(len(states)) as the codes. Equality compares position by position
+    with the states' own angle tolerance, whatever the two palettes look like.
     """
 
     palette: tuple[RebitState, ...]
     codes: bytes | array
     writing_basis: Basis
 
-    def __init__(self, states: Iterable[RebitState], writing_basis: Basis) -> None:
-        states = tuple(states)
-        self._set(states, range(len(states)), writing_basis)
-
-    @classmethod
-    def from_palette(
-        cls, palette: Iterable[RebitState], codes: Iterable[int], writing_basis: Basis
-    ) -> "QuantumMessage":
-        """Build a message from a palette of states and one palette code per position."""
-        message = cls.__new__(cls)
-        message._set(tuple(palette), codes, writing_basis)
-        return message
-
-    def _set(self, palette: tuple, codes: Iterable[int], writing_basis: Basis) -> None:
+    def __init__(
+        self, palette: Iterable[RebitState], codes: Iterable[int], writing_basis: Basis
+    ) -> None:
+        palette = tuple(palette)
         out_of_range = IndexOutOfRange(f"palette codes must lie in [0, {len(palette)})")
         try:
             codes = bytes(codes) if len(palette) <= 256 else array("I", codes)
@@ -166,9 +157,9 @@ class QuantumMessage(Record):
         code_of: dict[float, int] = {}
         merged = [code_of.setdefault(state.phi, len(code_of)) for state in palette]
         if len(code_of) < len(palette):
-            palette = tuple(map(RebitState, code_of))
-            return self._set(palette, map(merged.__getitem__, codes), writing_basis)
-        vars(self).update(palette=palette, codes=codes, writing_basis=writing_basis)
+            self.__init__(map(RebitState, code_of), map(merged.__getitem__, codes), writing_basis)
+        else:
+            vars(self).update(palette=palette, codes=codes, writing_basis=writing_basis)
 
     @property
     def states(self) -> tuple[RebitState, ...]:
@@ -259,7 +250,7 @@ def build_message(bits: str, basis: Basis) -> QuantumMessage:
     _check_bitstring(bits)
     palette = (encode_bit(0, basis), encode_bit(1, basis))
     codes = bits.encode("ascii").translate(_BITS_TO_CODES)
-    return QuantumMessage.from_palette(palette, codes, basis)
+    return QuantumMessage(palette, codes, basis)
 
 
 def embed(
@@ -306,7 +297,7 @@ def embed(
     size = len(message.palette)
     palette = message.palette + (encode_bit(0, secret.mark_basis), encode_bit(1, secret.mark_basis))
     codes = _measure(message, message.writing_basis, secret.indices, size, size + 1, rng)
-    return QuantumMessage.from_palette(palette, codes, message.writing_basis)
+    return QuantumMessage(palette, codes, message.writing_basis)
 
 
 def observe(message: QuantumMessage, basis: Basis, rng: RandomSource) -> ObservedMessage:

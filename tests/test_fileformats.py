@@ -33,7 +33,8 @@ SECRET = WatermarkSecret(
     key=bytes(range(32)),
 )
 MESSAGE = QuantumMessage(
-    states=(RebitState(45.0), RebitState(90.0), RebitState(0.0), RebitState(12.3456)),
+    palette=(RebitState(45.0), RebitState(90.0), RebitState(0.0), RebitState(12.3456)),
+    codes=range(4),
     writing_basis=Basis(0.0),
 )
 OBSERVATION = ObservedMessage(bits="01100101110", observation_basis=Basis(0.0))

@@ -8,6 +8,7 @@ here rather than in a caller's import.
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,3 +88,15 @@ def test_import_leaves_the_command_line_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "set()"
+
+
+def test_the_readme_library_example_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("accept ") for line in done.stdout.splitlines()), done.stdout

@@ -80,7 +80,7 @@ def same_stream_position(a, b):
 def messages(draw, max_size=64):
     angles = draw(st.lists(STATE_ANGLES, min_size=1, max_size=max_size))
     writing = Basis(draw(BASIS_ANGLES))
-    return QuantumMessage([RebitState(a) for a in angles], writing)
+    return QuantumMessage([RebitState(a) for a in angles], range(len(angles)), writing)
 
 
 class TestObserveMatchesReference:
@@ -101,7 +101,7 @@ class TestObserveMatchesReference:
     )
     def test_more_than_256_distinct_angles(self, distinct, basis, seed):
         states = wide_palette(seed, distinct, 600)
-        message = QuantumMessage(states, Basis(0.0))
+        message = QuantumMessage(states, range(len(states)), Basis(0.0))
         assert len(message.palette) == distinct
         assert isinstance(message.codes, bytes if distinct <= 256 else array)
         basis = Basis(basis)
@@ -142,35 +142,37 @@ class TestEmbedMatchesReference:
         secret = WatermarkSecret(indices=tuple(range(0, 400, 3)), mark_basis=mark)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            marked = embed(QuantumMessage(states, writing), secret, RandomSource(seed))
+            marked = embed(
+                QuantumMessage(states, range(len(states)), writing), secret, RandomSource(seed)
+            )
         expected = reference_embed(states, writing, secret.indices, mark, RandomSource(seed))
         assert [s.phi for s in marked.states] == [s.phi for s in expected]
         assert isinstance(marked.codes, bytes if len(marked.palette) <= 256 else array)
 
 
-def test_from_palette_checks_its_codes():
+def test_constructor_checks_its_codes():
     palette = (RebitState(0.0), RebitState(90.0))
-    message = QuantumMessage.from_palette(palette, [1, 0, 1], Basis(0.0))
+    message = QuantumMessage(palette, [1, 0, 1], Basis(0.0))
     assert [s.phi for s in message.states] == [90.0, 0.0, 90.0]
     for codes in ([0, 2], [-1], [256]):
         with pytest.raises(IndexOutOfRange):
-            QuantumMessage.from_palette(palette, codes, Basis(0.0))
+            QuantumMessage(palette, codes, Basis(0.0))
     wide = tuple(RebitState(0.5 * i) for i in range(300))
     for codes in ([-1], [2**32]):
         with pytest.raises(IndexOutOfRange):
-            QuantumMessage.from_palette(wide, codes, Basis(0.0))
+            QuantumMessage(wide, codes, Basis(0.0))
     with pytest.raises(EmptyMessage):
-        QuantumMessage.from_palette(palette, [], Basis(0.0))
+        QuantumMessage(palette, [], Basis(0.0))
 
 
 @settings(max_examples=40, deadline=None)
 @given(distinct=st.integers(1, 300), repeats=st.integers(0, 300), seed=SEEDS)
-def test_from_palette_merges_equal_angles(distinct, repeats, seed):
+def test_constructor_merges_equal_angles(distinct, repeats, seed):
     palette = wide_palette(seed, distinct, distinct + repeats)
     rng = random.Random(seed)
     codes = [rng.randrange(len(palette)) for _ in range(400)]
-    message = QuantumMessage.from_palette(palette, codes, Basis(0.0))
-    expanded = QuantumMessage([palette[c] for c in codes], Basis(0.0))
+    message = QuantumMessage(palette, codes, Basis(0.0))
+    expanded = QuantumMessage([palette[c] for c in codes], range(len(codes)), Basis(0.0))
     assert message == expanded
     assert [s.phi for s in message.states] == [palette[c].phi for c in codes]
     phis = [s.phi for s in message.palette]
@@ -199,13 +201,14 @@ class TestMessageFile:
     @settings(max_examples=5, deadline=None)
     @given(seed=SEEDS)
     def test_identity_with_more_than_256_distinct_angles(self, seed):
-        text = dump_quantum_message(QuantumMessage(wide_palette(seed, 300, 500), Basis(0.0)))
+        states = wide_palette(seed, 300, 500)
+        text = dump_quantum_message(QuantumMessage(states, range(len(states)), Basis(0.0)))
         loaded = load_quantum_message(text)
         assert isinstance(loaded.codes, array)
         assert dump_quantum_message(loaded) == text
 
     def test_angles_rounding_up_to_the_period_load_back(self):
-        message = QuantumMessage([RebitState(180.0 - 1e-7)], Basis(90.0 - 1e-7))
+        message = QuantumMessage([RebitState(180.0 - 1e-7)], [0], Basis(90.0 - 1e-7))
         document = json.loads(dump_quantum_message(message))
         assert document["states"] == ["0.000000"]
         assert document["writing_basis_theta"] == "0.000000"

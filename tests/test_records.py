@@ -8,10 +8,12 @@ records had as frozen dataclasses; the table below pins them class by class.
 
 import copy
 import pickle
+from array import array
 from collections import namedtuple
 
 import pytest
 
+import qumark
 from qumark.attacks import AttackOutcome, AveragingResult
 from qumark.carrier import CarrierPayload, ImageMeta
 from qumark.keys import DerivationParams, SecretKey
@@ -73,8 +75,8 @@ CASES = [
         "SampleSizeSpec(a=1, b=0, n=1)", ("a", "b", "n"),
     ),
     Case(
-        QuantumMessage, ("states", "writing_basis"), (STATES, Basis(0.0)), (),
-        (STATES[::-1], Basis(0.0)),
+        QuantumMessage, ("palette", "codes", "writing_basis"), (STATES, (0, 1), Basis(0.0)), (),
+        (STATES[::-1], (0, 1), Basis(0.0)),
         r"QuantumMessage(palette=(RebitState(phi=0.0), RebitState(phi=90.0)),"
         r" codes=b'\x00\x01', writing_basis=Basis(theta=0.0))",
         ("palette", "codes", "writing_basis"),
@@ -137,6 +139,26 @@ def test_positional_keyword_and_default_construction(case):
     defaulted = {name: value for name, value in keywords.items() if name not in case.omit}
     assert case.cls(**defaulted) == record
     assert repr(record) == case.text
+
+
+# the names a record's repr calls: the package surface, plus array for codes
+# of a message whose palette has more than 256 entries
+REPR_NAMESPACE = {**vars(qumark), "array": array}
+
+
+@cases
+def test_repr_rebuilds_the_record(case):
+    record = case.cls(*case.args)
+    assert eval(repr(record), REPR_NAMESPACE) == record
+
+
+def test_repr_rebuilds_a_message_with_array_codes():
+    palette = [RebitState(0.5 * i) for i in range(300)]
+    message = QuantumMessage(palette, [299, 0, 257, 1], Basis(0.0))
+    assert isinstance(message.codes, array)
+    rebuilt = eval(repr(message), REPR_NAMESPACE)
+    assert rebuilt == message and repr(rebuilt) == repr(message)
+    assert isinstance(rebuilt.codes, array)
 
 
 @cases
