@@ -46,8 +46,12 @@ class AveragingResult(Record):
     """
 
     recovered_bits: str
-    suspected_indices: tuple[int, ...]
     disagreement_counts: tuple[int, ...]
+
+    @property
+    def suspected_indices(self) -> tuple[int, ...]:
+        counts = self.disagreement_counts
+        return tuple(compress(range(len(counts)), counts))
 
 
 class AttackOutcome(Record):
@@ -100,11 +104,7 @@ def averaging_attack(copies: Sequence[ObservedMessage]) -> AveragingResult:
         column_ones = array(code, ones)
         recovered = bytes(map(majority.__getitem__, column_ones))
         counts = array(code, map(outvoted.__getitem__, column_ones))
-    return AveragingResult(
-        recovered_bits=recovered.decode("ascii"),
-        suspected_indices=tuple(compress(range(n), counts)),
-        disagreement_counts=tuple(counts),
-    )
+    return AveragingResult(recovered.decode("ascii"), tuple(counts))
 
 
 def noise_attack(message: ObservedMessage, flip_rate: float, rng: RandomSource) -> ObservedMessage:

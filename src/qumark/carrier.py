@@ -1,7 +1,8 @@
 """Payload ingestion: raw byte streams and binary 8-bit PGM images.
 
-A carrier exposes its content as a bitstring plus an eligibility mask
-marking the positions a watermark may occupy without perceptible damage.
+A carrier exposes its content as a bitstring plus the format it came in,
+and the format fixes the eligibility mask: the positions a watermark may
+occupy without perceptible damage.
 Raw streams make every bit eligible; PGM images admit only each pixel's
 least significant bit, which bounds any watermark to one grey level per
 pixel. Parsing is liberal about header whitespace and comments, emission is
@@ -66,22 +67,24 @@ def bits_to_bytes(bits: str) -> bytes:
 
 
 class CarrierPayload(Record):
-    """Payload bits plus the mask of positions allowed to carry the mark."""
+    """Payload bits plus the format that decides which of them may carry the mark."""
 
     bits: str
-    eligibility_mask: str
     format_tag: str
 
     def _check(self) -> None:
-        for name in ("bits", "eligibility_mask"):
-            _check_bits(getattr(self, name), name)
+        _check_bits(self.bits)
         if self.format_tag not in (RAW, PGM_LSB):
             raise ValueError(f"unknown format tag {self.format_tag!r}")
-        if len(self.eligibility_mask) != len(self.bits):
-            raise ValueError(
-                f"mask length {len(self.eligibility_mask)} does not match"
-                f" payload length {len(self.bits)}"
-            )
+        if self.format_tag == PGM_LSB and len(self.bits) % 8:
+            raise ValueError(f"a PGM payload holds whole pixel bytes, got {len(self.bits)} bits")
+
+    @property
+    def eligibility_mask(self) -> str:
+        """'1' at each position the mark may occupy: every raw bit, each pixel's LSB."""
+        if self.format_tag == RAW:
+            return "1" * len(self.bits)
+        return "00000001" * (len(self.bits) // 8)
 
 
 class ImageMeta(Record):
@@ -89,16 +92,14 @@ class ImageMeta(Record):
 
     width: int
     height: int
-    max_value: int = 255
+    max_value = 255  # not annotated, so not a field: no other maxval is supported
 
     def _check(self) -> None:
-        width, height, max_value = self.width, self.height, self.max_value
-        if not all(type(v) is int for v in (width, height, max_value)):
-            raise TypeError(f"image width, height and maxval must be int, got {self}")
+        width, height = self.width, self.height
+        if not (type(width) is int and type(height) is int):
+            raise TypeError(f"image width and height must be int, got {self}")
         if width < 1 or height < 1:
             raise MalformedHeader(f"image dimensions must be positive, got {width}x{height}")
-        if max_value != 255:
-            raise UnsupportedMaxval(f"only 8-bit images are supported, maxval is {max_value}")
 
 
 def ingest_raw(data: bytes) -> CarrierPayload:
@@ -109,8 +110,7 @@ def ingest_raw(data: bytes) -> CarrierPayload:
     """
     if not data:
         raise EmptyInput("raw payload is empty")
-    bits = bytes_to_bits(data)
-    return CarrierPayload(bits=bits, eligibility_mask="1" * len(bits), format_tag=RAW)
+    return CarrierPayload(bits=bytes_to_bits(data), format_tag=RAW)
 
 
 def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
@@ -120,7 +120,8 @@ def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
     digits, each after any run of whitespace (space, tab, LF, CR, VT, FF) and
     '#' comments to the end of a line; a '#' glued to a token is part of it.
     One whitespace byte and width * height pixel bytes end the data. The
-    eligibility mask admits only the least significant bit of each pixel byte.
+    payload's eligibility mask admits only the least significant bit of each
+    pixel byte.
     """
     if not data:
         raise EmptyInput("image payload is empty")
@@ -144,7 +145,9 @@ def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
     width, height, maxval = fields
     if not 1 <= maxval <= 65535:
         raise MalformedHeader(f"maxval {maxval} is outside the legal range")
-    meta = ImageMeta(width=width, height=height, max_value=maxval)
+    meta = ImageMeta(width=width, height=height)
+    if maxval != meta.max_value:
+        raise UnsupportedMaxval(f"only 8-bit images are supported, maxval is {maxval}")
     if not separator:
         raise MalformedHeader("missing single whitespace before pixel data")
     pos = header.end()
@@ -154,12 +157,7 @@ def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
         raise TruncatedPixelData(f"need {expected} pixel bytes, found {len(pixels)}")
     if len(data) > pos + expected:
         raise MalformedHeader("trailing bytes after the pixel block")
-    payload = CarrierPayload(
-        bits=bytes_to_bits(pixels),
-        eligibility_mask="00000001" * expected,
-        format_tag=PGM_LSB,
-    )
-    return payload, meta
+    return CarrierPayload(bits=bytes_to_bits(pixels), format_tag=PGM_LSB), meta
 
 
 def emit(payload: CarrierPayload, meta: ImageMeta | None = None) -> bytes:

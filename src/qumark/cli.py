@@ -149,6 +149,16 @@ def _cmd_embed(args: argparse.Namespace) -> int:
         raise ValueError("embed writes two artifacts and needs --out FILE")
     payload = _ingest_payload(_read_bytes(args.infile), args.format)
     secret, _recorded_pe = fileformats.load_secret(_read_bytes(args.secret))
+    # every raw bit is eligible; an index past the end is left to embed,
+    # which names the valid range
+    if args.format == "pgm" and secret.indices[-1] < len(payload.bits):
+        mask = payload.eligibility_mask
+        ineligible = [i for i in secret.indices if mask[i] == "0"]
+        if ineligible:
+            raise ValueError(
+                f"{len(ineligible)} secret indices lie outside the image's pixel LSBs,"
+                f" the first at {ineligible[0]}; derive the secret with keygen --mask-from"
+            )
     writing = Basis(args.writing_basis)
     message = build_message(payload.bits, writing)
     marked = embed(message, secret, RandomSource(_seed_from(args)), strict=args.strict)

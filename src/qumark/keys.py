@@ -13,13 +13,13 @@ from __future__ import annotations
 import os
 import struct
 from collections.abc import Iterator
-from itertools import count
+from itertools import compress, count
 
 from ._record import Record
 from .carrier import _check_bits
 from .errors import TooFewEligiblePositions
 from .qstate import Basis, RandomSource
-from .watermark import WatermarkSecret
+from .watermark import _BITS_TO_CODES, WatermarkSecret
 
 __all__ = [
     "MIN_KEY_BYTES",
@@ -92,7 +92,8 @@ class DerivationParams(Record):
         """Positions the watermark may occupy, in increasing order."""
         if self.eligibility_mask is None:
             return list(range(self.message_length))
-        return [i for i, flag in enumerate(self.eligibility_mask) if flag == "1"]
+        mask = self.eligibility_mask.encode("ascii").translate(_BITS_TO_CODES)
+        return list(compress(range(self.message_length), mask))
 
 
 def _key_words(key: SecretKey) -> Iterator[int]:

@@ -119,7 +119,10 @@ class SampleSizeSpec(Record):
 
     a: int
     b: int
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.a + self.b
 
 
 def relative_frequency(errors: int, total: int) -> float:
@@ -281,7 +284,7 @@ def min_sample_size_literal(pe: float) -> SampleSizeSpec:
     """
     if not 0.0 <= pe <= 1.0:
         raise InvalidProbability(f"pe must be in [0, 1], got {pe}")
-    return SampleSizeSpec(a=0, b=1, n=1) if pe == 0 else SampleSizeSpec(a=1, b=0, n=1)
+    return SampleSizeSpec(a=0, b=1) if pe == 0 else SampleSizeSpec(a=1, b=0)
 
 
 def _rejection_power(

@@ -235,14 +235,20 @@ class VerificationReport(Record):
 
     error_count: int
     sample_size: int
-    observed_frequency: float
     expected_pe: float
-    decision: str
     decision_detail: stats.DecisionOutcome
 
     @property
+    def observed_frequency(self) -> float:
+        return self.decision_detail.statistic
+
+    @property
+    def decision(self) -> str:
+        return self.decision_detail.decision
+
+    @property
     def accepted(self) -> bool:
-        return self.decision == stats.ACCEPT
+        return self.decision_detail.accepted
 
 
 def build_message(bits: str, basis: Basis) -> QuantumMessage:
@@ -330,15 +336,7 @@ def verify(
     errors = sum(1 for i in secret.indices if suspect.bits[i] != reference.bits[i])
     total = len(secret.indices)
     pe = expected_error_probability(secret.mark_basis, suspect.observation_basis)
-    outcome = stats.decide(errors, total, pe, rule)
-    return VerificationReport(
-        error_count=errors,
-        sample_size=total,
-        observed_frequency=outcome.statistic,
-        expected_pe=pe,
-        decision=outcome.decision,
-        decision_detail=outcome,
-    )
+    return VerificationReport(errors, total, pe, stats.decide(errors, total, pe, rule))
 
 
 def classical_flip_embed(

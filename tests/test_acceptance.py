@@ -238,11 +238,7 @@ def test_criterion_8_imperceptibility():
     secret = generate_secret(SecretKey.generate(seed=80), params, MARK45)
     marked = embed(build_message(payload.bits, WRITING), secret, RandomSource(81))
     observed = observe(marked, WRITING, RandomSource(82))
-    out = emit(
-        CarrierPayload(bits=observed.bits, eligibility_mask=payload.eligibility_mask,
-                       format_tag=PGM_LSB),
-        meta,
-    )
+    out = emit(CarrierPayload(bits=observed.bits, format_tag=PGM_LSB), meta)
     new_payload, _ = ingest_pgm(out)
     new_pixels = bits_to_bytes(new_payload.bits)
     deltas = [abs(a - b) for a, b in zip(pixels, new_pixels)]

@@ -64,7 +64,7 @@ def marked_release(plain, indices, mark, embed_seed=0):
 
 
 def reference_averaging(copies):
-    """Column-by-column vote, the reference for averaging_attack."""
+    """Column-by-column vote, the reference for averaging_attack: its result and suspects."""
     m = len(copies)
     recovered = []
     suspected = []
@@ -76,11 +76,7 @@ def reference_averaging(copies):
         counts.append(m - ones if majority == "1" else ones)
         if 0 < ones < m:
             suspected.append(i)
-    return AveragingResult(
-        recovered_bits="".join(recovered),
-        suspected_indices=tuple(suspected),
-        disagreement_counts=tuple(counts),
-    )
+    return AveragingResult("".join(recovered), tuple(counts)), tuple(suspected)
 
 
 @st.composite
@@ -103,15 +99,15 @@ class TestAveragingAttack:
     @example([obs("1")] * 256 + [obs("0")] * 255)
     @example([obs("1")] * 255 + [obs("0")] * 255)
     def test_equals_the_column_by_column_reference(self, copies):
-        assert averaging_attack(copies) == reference_averaging(copies)
+        result = averaging_attack(copies)
+        expected, suspected = reference_averaging(copies)
+        assert result == expected
+        assert result.suspected_indices == suspected
 
     def test_tie_votes_resolve_to_zero(self):
         result = averaging_attack([obs("01"), obs("10")])
-        assert result == AveragingResult(
-            recovered_bits="00",
-            suspected_indices=(0, 1),
-            disagreement_counts=(1, 1),
-        )
+        assert result == AveragingResult(recovered_bits="00", disagreement_counts=(1, 1))
+        assert result.suspected_indices == (0, 1)
 
     def test_majority_and_counts(self):
         result = averaging_attack([obs("111"), obs("101"), obs("110")])

@@ -68,24 +68,25 @@ class TestBitPacking:
 
 
 class TestCarrierPayload:
-    def test_mask_must_cover_the_bits(self):
-        with pytest.raises(ValueError):
-            CarrierPayload(bits="0101", eligibility_mask="01", format_tag=RAW)
-
     def test_format_tag_is_checked(self):
         with pytest.raises(ValueError):
-            CarrierPayload(bits="01", eligibility_mask="11", format_tag="wav")
+            CarrierPayload(bits="01", format_tag="wav")
 
-    @pytest.mark.parametrize("bits,mask", [("01x2", "1111"), ("0110", "1a11"), ("01", "1\uff11")])
-    def test_bits_and_mask_are_binary_strings(self, bits, mask):
+    @pytest.mark.parametrize("bits", ["01x2", "1a11", "1\uff11"])
+    def test_bits_are_a_binary_string(self, bits):
         # the payload refuses them itself, not emit or DerivationParams later
         with pytest.raises(ValueError):
-            CarrierPayload(bits, mask, RAW)
+            CarrierPayload(bits, RAW)
 
-    @pytest.mark.parametrize("bits,mask", [(b"01", "11"), ("01", ["1", "1"])])
-    def test_bits_and_mask_are_str(self, bits, mask):
+    @pytest.mark.parametrize("bits", [b"01", ["0", "1"]])
+    def test_bits_are_a_str(self, bits):
         with pytest.raises(TypeError):
-            CarrierPayload(bits, mask, RAW)
+            CarrierPayload(bits, RAW)
+
+    def test_a_pgm_payload_holds_whole_bytes(self):
+        # so the derived mask covers every bit
+        with pytest.raises(ValueError, match="whole pixel bytes, got 12 bits"):
+            CarrierPayload("0" * 12, PGM_LSB)
 
 
 class TestIngestRaw:
@@ -107,7 +108,8 @@ class TestIngestRaw:
 class TestIngestPgm:
     def test_canonical_image(self):
         payload, meta = ingest_pgm(pgm(3, 2, range(6)))
-        assert meta == ImageMeta(width=3, height=2, max_value=255)
+        assert meta == ImageMeta(width=3, height=2)
+        assert meta.max_value == 255
         assert payload.format_tag == PGM_LSB
         assert payload.bits == bytes_to_bits(bytes(range(6)))
         assert payload.eligibility_mask == "00000001" * 6
@@ -125,7 +127,7 @@ class TestIngestPgm:
             b"255\n" + bytes([9, 8, 7, 6])
         )
         payload, meta = ingest_pgm(data)
-        assert meta == ImageMeta(width=4, height=1, max_value=255)
+        assert meta == ImageMeta(width=4, height=1)
         assert bits_to_bytes(payload.bits) == bytes([9, 8, 7, 6])
 
     def test_single_whitespace_then_pixels(self):
@@ -196,32 +198,20 @@ class TestEmit:
         with pytest.raises(MissingMeta):
             emit(payload)
 
-    @pytest.mark.parametrize("max_value", [1, 254, 256, 65535])
-    def test_only_8_bit_images_are_emitted(self, max_value):
-        # ingest_pgm refuses any other maxval, so emit must not write one
-        payload, _ = ingest_pgm(pgm(3, 2, range(6)))
-        with pytest.raises(UnsupportedMaxval):
-            emit(payload, ImageMeta(width=3, height=2, max_value=max_value))
-
     def test_every_meta_that_constructs_reads_back(self):
         # ImageMeta owns the header rule, so emit can only write what ingest_pgm reads
         for width in range(-3, 9):
             for height in range(-3, 9):
-                for max_value in (0, 1, 254, 255, 256, 65535, 65536):
-                    try:
-                        meta = ImageMeta(width=width, height=height, max_value=max_value)
-                    except (MalformedHeader, UnsupportedMaxval):
-                        assert width < 1 or height < 1 or max_value != 255
-                        continue
-                    pixels = width * height
-                    payload = CarrierPayload(
-                        bits=bytes_to_bits(bytes(range(pixels))),
-                        eligibility_mask="00000001" * pixels,
-                        format_tag=PGM_LSB,
-                    )
-                    assert ingest_pgm(emit(payload, meta)) == (payload, meta)
+                try:
+                    meta = ImageMeta(width=width, height=height)
+                except MalformedHeader:
+                    assert width < 1 or height < 1
+                    continue
+                pixels = width * height
+                payload = CarrierPayload(bits=bytes_to_bits(bytes(range(pixels))), format_tag=PGM_LSB)
+                assert ingest_pgm(emit(payload, meta)) == (payload, meta)
 
-    @pytest.mark.parametrize("fields", [(2.5, 2), (5, 1, 255.0), (True, 5)])
+    @pytest.mark.parametrize("fields", [(2.5, 2), (5, 1.0), (True, 5)])
     def test_meta_fields_must_be_int(self, fields):
         # 2.5 * 2 and True * 5 both count 5 pixels, but no header holds them
         with pytest.raises(TypeError):
@@ -237,11 +227,7 @@ class TestEmit:
         bits = list(payload.bits)
         bits[7] = "1"  # first pixel 10 -> 11
         bits[63] = "1"  # last pixel 80 -> 81
-        flipped = CarrierPayload(
-            bits="".join(bits),
-            eligibility_mask=payload.eligibility_mask,
-            format_tag=payload.format_tag,
-        )
+        flipped = CarrierPayload(bits="".join(bits), format_tag=payload.format_tag)
         out = emit(flipped, meta)
         _, _ = ingest_pgm(out)
         assert out == b"P5\n4 2\n255\n" + bytes([11, 20, 30, 40, 50, 60, 70, 81])
@@ -302,7 +288,7 @@ def pgm_headers(draw):
     # a separator between two tokens opens with whitespace; one before the magic need not
     gaps = [draw(GAPS)] + [draw(WHITESPACE_RUNS) + draw(GAPS) for _ in range(3)]
     expected = (
-        CarrierPayload(bytes_to_bits(pixels), "00000001" * len(pixels), PGM_LSB),
+        CarrierPayload(bytes_to_bits(pixels), PGM_LSB),
         ImageMeta(width, height),
     )
     mode = draw(st.sampled_from(["valid", "glued", "comment at end", "cut"]))

@@ -681,6 +681,38 @@ class TestMaskedKeygen:
         diffs = {i for i in range(64) if suspect.bits[i] != reference.bits[i]}
         assert diffs <= set(secret.indices)
 
+    def test_embed_refuses_indices_outside_the_pixel_lsbs(self, tmp_path, capsys):
+        # an unmasked secret would move pixels 0 1 2 3 to 64 9 2 3 or 0 1 2 131
+        image = tmp_path / "carrier.pgm"
+        image.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 1, 2, 3]))
+        secret_path, marked = tmp_path / "secret.json", tmp_path / "marked.json"
+        assert cli.main(["keygen", "--message-len", "32", "--count", "4", "--seed", "3",
+                         "--out", str(secret_path)]) == 0
+        assert load_secret(secret_path.read_bytes())[0].indices == (1, 12, 15, 24)
+        code = cli.main(["embed", "--in", str(image), "--format", "pgm",
+                         "--secret", str(secret_path), "--out", str(marked), "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 3 secret indices lie outside the image's pixel LSBs, the first at 1;"
+            " derive the secret with keygen --mask-from"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["carrier.pgm", "secret.json"]
+
+    def test_an_index_past_the_image_keeps_its_range_error(self, tmp_path, capsys):
+        image = tmp_path / "carrier.pgm"
+        image.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 1, 2, 3]))
+        secret_path = tmp_path / "secret.json"
+        assert cli.main(["keygen", "--message-len", "64", "--count", "4", "--seed", "3",
+                         "--out", str(secret_path)]) == 0
+        # 24 is outside the pixel LSBs too, but the range error comes first
+        assert load_secret(secret_path.read_bytes())[0].indices == (24, 33, 51, 57)
+        code = cli.main(["embed", "--in", str(image), "--format", "pgm",
+                         "--secret", str(secret_path), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: indices must lie in [0, 32), got 24..57"
+        ]
+
 
 class TestImportCost:
     def test_cli_import_leaves_keygen_and_wilson_modules_unloaded(self):

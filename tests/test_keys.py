@@ -108,6 +108,13 @@ class TestDerivationParams:
         assert params.eligible_count() == 3
         assert params.eligible_positions() == [1, 3, 4]
 
+    @settings(max_examples=200, deadline=None)
+    @given(params=derivation_params())
+    def test_eligible_positions_are_the_ones_of_the_mask(self, params):
+        mask = params.eligibility_mask or "1" * params.message_length
+        expected = [i for i, flag in enumerate(mask) if flag == "1"]
+        assert params.eligible_positions() == expected
+
     def test_mask_must_match_length_and_charset(self):
         with pytest.raises(ValueError):
             DerivationParams(6, 2, eligibility_mask="0101")

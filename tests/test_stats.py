@@ -267,9 +267,13 @@ class TestMinSampleSizeLiteral:
     def test_the_rule_is_only_a_floor(self):
         # a = 1, b = 0 satisfies the constraint for every positive rate, so
         # the literal minimum is n = 1 across the board
-        assert min_sample_size_literal(0.0) == SampleSizeSpec(a=0, b=1, n=1)
+        assert min_sample_size_literal(0.0) == SampleSizeSpec(a=0, b=1)
         for pe in (0.1, 0.5, 1.0):
-            assert min_sample_size_literal(pe) == SampleSizeSpec(a=1, b=0, n=1)
+            assert min_sample_size_literal(pe) == SampleSizeSpec(a=1, b=0)
+        assert min_sample_size_literal(0.5).n == 1
+
+    def test_n_is_the_sum_of_its_parts(self):
+        assert SampleSizeSpec(a=2, b=3).n == 5
 
     def test_rate_validation(self):
         with pytest.raises(InvalidProbability):

@@ -24,7 +24,7 @@ from qumark.errors import (
     SampleTooSmall,
 )
 from qumark.qstate import Basis, RandomSource, expected_error_probability
-from qumark.stats import DecisionRule
+from qumark.stats import ACCEPT, DecisionRule
 from qumark.watermark import (
     COMFORTABLE_MARK_COUNT,
     ObservedMessage,
@@ -348,6 +348,20 @@ class TestVerify:
         assert report.observed_frequency == 0.5
         assert report.decision_detail.bound_low == 0.25
         assert report.decision_detail.bound_high == 0.75
+
+    @pytest.mark.parametrize("rule", [
+        DecisionRule.fixed(0.25), DecisionRule.wilson(0.99), DecisionRule.exact_binomial(0.99)
+    ])
+    @pytest.mark.parametrize("suspect_bits", ["0110", "0000"])
+    def test_the_verdict_is_read_from_its_detail(self, rule, suspect_bits):
+        secret = WatermarkSecret(indices=(0, 1, 2, 3), mark_basis=MARK45)
+        reference = ObservedMessage(bits="0000", observation_basis=WRITING)
+        suspect = ObservedMessage(bits=suspect_bits, observation_basis=WRITING)
+        report = verify(suspect, reference, secret, rule)
+        detail = report.decision_detail
+        assert report.observed_frequency == detail.statistic == suspect_bits.count("1") / 4
+        assert report.decision == detail.decision
+        assert report.accepted == detail.accepted == (detail.decision == ACCEPT)
 
     def test_error_free_copy_is_rejected(self):
         size = 4096
