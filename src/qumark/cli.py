@@ -59,17 +59,23 @@ def _write_text(path: str, text: str) -> None:
     The end state is mode "w"'s: the same inode, symlinks followed, mode bits
     kept. Truncating a large file to zero before rewriting it can stall for
     hundreds of milliseconds (ext4 mounted with discard); overwriting its
-    blocks and cutting what is left takes a few milliseconds.
+    blocks and cutting what is left takes a few milliseconds. A write that
+    fails part way cuts a regular file to nothing before the error goes on,
+    since the new prefix over the old tail can still parse.
     """
     if path == "-":
         sys.stdout.write(text)
         return
     data = text.encode("utf-8")
     with open(os.open(path, _WRITE_FLAGS, 0o666), "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            os.ftruncate(handle.fileno(), len(data))
+        length = 0
+        try:
+            handle.write(data)
+            handle.flush()
+            length = len(data)
+        finally:
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                os.ftruncate(handle.fileno(), length)
 
 
 def _parse_rule(token: str) -> stats.DecisionRule:

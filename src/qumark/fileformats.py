@@ -127,33 +127,51 @@ def dump_secret(secret: WatermarkSecret, expected_pe: float) -> str:
     )
 
 
+_NOT_INTEGERS = "secret indices must be a list of integers"
+
+
 def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
     text = _decode(text, "secret")
     document = _load(text, SECRET_FORMAT_VERSION, "secret")
     indices = _field(document, "indices", "secret")
-    if not isinstance(indices, list) or not _int_items(indices):
-        raise MalformedFile("secret indices must be a list of integers")
-    theta = _parse_angle(_field(document, "mark_basis_theta", "secret"), "mark_basis_theta", 90.0)
-    key_field = _field(document, "key", "secret")
-    key = None
-    if key_field is not None:
-        if not isinstance(key_field, str):
-            raise MalformedFile("secret key must be a base64 string or null")
-        try:
-            key = base64.b64decode(key_field, validate=True)
-        except (binascii.Error, ValueError):
-            raise MalformedFile("secret key is not valid base64") from None
-    expected_pe = _field(document, "expected_pe", "secret")
-    if not isinstance(expected_pe, (int, float)) or isinstance(expected_pe, bool):
-        raise MalformedFile("expected_pe must be a number")
+    if not isinstance(indices, list):
+        raise MalformedFile(_NOT_INTEGERS)
+    indices = tuple(indices)
     try:
+        theta = _parse_angle(
+            _field(document, "mark_basis_theta", "secret"), "mark_basis_theta", 90.0
+        )
+        key = _parse_key(_field(document, "key", "secret"))
+        expected_pe = _field(document, "expected_pe", "secret")
+        if not isinstance(expected_pe, (int, float)) or isinstance(expected_pe, bool):
+            raise MalformedFile("expected_pe must be a number")
         secret = WatermarkSecret(indices, Basis(theta), key)
         expected_pe = float(expected_pe)  # an integer past 2**1024 overflows
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, TypeError) as exc:  # int() of a str, None or a list
+        # an index that is not an integer is reported first, as if checked first
+        if not _int_items(indices):
+            raise MalformedFile(_NOT_INTEGERS) from None
+        if isinstance(exc, MalformedFile):
+            raise
         raise MalformedFile(f"secret file holds an invalid secret: {exc}") from None
+    # the constructor's one type pass keeps the tuple it is given when every
+    # index is an int, and converts the indices otherwise, which a file may not ask
+    if secret.indices is not indices:
+        raise MalformedFile(_NOT_INTEGERS)
     if not 0.0 <= expected_pe <= 1.0:  # what dump_secret refuses to write
         raise MalformedFile(f"expected_pe must be in [0, 1], got {expected_pe}")
     return secret, expected_pe
+
+
+def _parse_key(key_field: object) -> bytes | None:
+    if key_field is None:
+        return None
+    if not isinstance(key_field, str):
+        raise MalformedFile("secret key must be a base64 string or null")
+    try:
+        return base64.b64decode(key_field, validate=True)
+    except (binascii.Error, ValueError):
+        raise MalformedFile("secret key is not valid base64") from None
 
 
 def dump_quantum_message(message: QuantumMessage) -> str:
@@ -169,24 +187,82 @@ def dump_quantum_message(message: QuantumMessage) -> str:
     )
 
 
+# the bytes dump_quantum_message writes around the states block; the
+# patterns go through re's cache on first use, not compiled at import
+_MESSAGE_HEADER = b'{\n  "states": [\n'
+_MESSAGE_FOOTER = (
+    rb'\n  \],\n  "version": 1,\n  "writing_basis_theta": "([0-9]+(?:\.[0-9]+)?)"\n\}\n'
+)
+_STATE_LINE = rb'    "[0-9]+(?:\.[0-9]+)?"'
+_SLICE_BYTES = 1 << 16
+
+
+def _scan_canonical_message(data: object) -> tuple[str, list[str], bytearray] | None:
+    """Basis angle, distinct state angles and codes of a message in the writer's exact layout.
+
+    None for any other input, which the json.loads path then reads. Each
+    line of the layout is a fixed-point string, so json.loads gives the
+    same three fields for a document that passes, and the caller checks
+    them in the same order. The states block is read about 64 KiB at a
+    time and each line mapped to its code through a dict, so only the
+    distinct lines become str objects.
+    """
+    if not isinstance(data, bytes) or not data.startswith(_MESSAGE_HEADER):
+        return None
+    end = data.rfind(b"\n  ],\n")
+    if end < len(_MESSAGE_HEADER):
+        return None
+    footer = re.fullmatch(_MESSAGE_FOOTER, data[end:])
+    if footer is None:
+        return None
+    code_of: dict[bytes, int] = {}
+    codes = bytearray()
+    start = len(_MESSAGE_HEADER)
+    while True:
+        cut = data.find(b",\n", start + _SLICE_BYTES, end)
+        cut = end if cut < 0 else cut
+        lines = data[start:cut].split(b",\n")
+        try:
+            codes += bytes(map(code_of.__getitem__, lines))
+        except KeyError:  # a line not seen before: codes go in order of first occurrence
+            for line in dict.fromkeys(lines):
+                if line not in code_of:
+                    if len(code_of) == 256 or not re.fullmatch(_STATE_LINE, line):
+                        return None
+                    code_of[line] = len(code_of)
+            codes += bytes(map(code_of.__getitem__, lines))
+        if cut == end:
+            break
+        start = cut + 2
+    states = [line[5:-1].decode("ascii") for line in code_of]
+    return footer[1].decode("ascii"), states, codes
+
+
 def load_quantum_message(text: str | bytes) -> QuantumMessage:
-    text = _decode(text, "message")
-    document = _load(text, MESSAGE_FORMAT_VERSION, "message")
-    del text  # the JSON text can run to megabytes; free it before the codes are built
-    theta = _parse_angle(
-        _field(document, "writing_basis_theta", "message"), "writing_basis_theta", 90.0
-    )
-    states = _field(document, "states", "message")
-    if not isinstance(states, list):
-        raise MalformedFile("message states must be a list")
-    try:
-        code_of = {text: code for code, text in enumerate(dict.fromkeys(states))}
-    except TypeError:
-        raise MalformedFile("state phi must be a fixed-point string") from None
+    canonical = _scan_canonical_message(text)
+    if canonical is not None:
+        del text
+        theta_text, code_of, codes = canonical
+        theta = _parse_angle(theta_text, "writing_basis_theta", 90.0)
+    else:
+        text = _decode(text, "message")
+        document = _load(text, MESSAGE_FORMAT_VERSION, "message")
+        del text  # the JSON text can run to megabytes; free it before the codes are built
+        theta = _parse_angle(
+            _field(document, "writing_basis_theta", "message"), "writing_basis_theta", 90.0
+        )
+        states = _field(document, "states", "message")
+        if not isinstance(states, list):
+            raise MalformedFile("message states must be a list")
+        try:
+            code_of = {text: code for code, text in enumerate(dict.fromkeys(states))}
+        except TypeError:
+            raise MalformedFile("state phi must be a fixed-point string") from None
+        codes = map(code_of.__getitem__, states)
     # each distinct string is parsed once
     palette = [RebitState(_parse_angle(text, "state phi", 180.0)) for text in code_of]
     try:
-        return QuantumMessage(palette, map(code_of.__getitem__, states), Basis(theta))
+        return QuantumMessage(palette, codes, Basis(theta))
     except ValueError as exc:
         raise MalformedFile(f"message file holds an invalid message: {exc}") from None
 

@@ -67,6 +67,10 @@ class DerivationParams(Record):
 
     def _check(self) -> None:
         message_length, mask = self.message_length, self.eligibility_mask
+        for name in ("message_length", "mark_count"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if message_length < 1:
             raise ValueError(f"message length must be positive, got {message_length}")
         if self.mark_count < 1:

@@ -151,7 +151,12 @@ class QuantumMessage(Record):
             raise out_of_range from None
         if not codes:
             raise EmptyMessage("a quantum message needs at least one qubit")
-        if max(codes) >= len(palette):
+        # bytes codes: delete every valid code in one pass and see if any is left
+        if (
+            codes.translate(None, bytes(range(len(palette))))
+            if isinstance(codes, bytes)
+            else max(codes) >= len(palette)
+        ):
             raise out_of_range
         # the first entry with an angle keeps its code, later ones map onto it
         code_of: dict[float, int] = {}

@@ -16,7 +16,13 @@ from pathlib import Path
 import pytest
 
 from qumark import cli
-from qumark.fileformats import dump_observation, load_observation, load_secret
+from qumark.errors import MalformedFile
+from qumark.fileformats import (
+    dump_observation,
+    load_observation,
+    load_quantum_message,
+    load_secret,
+)
 from qumark.qstate import Basis
 from qumark.stats import DecisionRule
 from qumark.watermark import ObservedMessage, verify
@@ -406,6 +412,50 @@ class TestArtifactWriter:
         flags = calls[0][2]
         assert flags & os.O_TRUNC == 0
         assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+
+    # RLIMIT_FSIZE makes a write past the limit fail with EFBIG; CPython
+    # ignores SIGXFSZ, so the error reaches the CLI as an OSError
+    FILE_SIZE_LIMIT = 3072
+
+    def run_limited(self, args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import resource, sys; from qumark import cli; "
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({self.FILE_SIZE_LIMIT},) * 2); "
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        return subprocess.run([sys.executable, "-c", probe, *map(str, args)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=60)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="resource is POSIX-only")
+    def test_a_failed_observation_write_leaves_no_loadable_artifact(self, tmp_path):
+        # seed 4's prefix over seed 3's tail used to be a well-formed observation
+        # that verify accepted
+        paths = run_pipeline(tmp_path, count=256, observe_seed=3, payload=bytes(range(256)) * 16)
+        suspect = paths["suspect"]
+        assert suspect.stat().st_size > self.FILE_SIZE_LIMIT
+        done = self.run_limited(["observe", "--in", paths["marked"], "--out", suspect,
+                                 "--seed", "4"])
+        assert done.returncode == 2
+        assert done.stderr == "error: [Errno 27] File too large\n"
+        assert suspect.read_bytes() == b""
+        with pytest.raises(MalformedFile):
+            load_observation(suspect.read_bytes())
+        assert cli.main(["verify", "--suspect", str(suspect), "--reference",
+                         str(paths["reference"]), "--secret", str(paths["secret"]),
+                         "--rule", "binom:0.99"]) == 2
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="resource is POSIX-only")
+    def test_a_failed_message_write_leaves_no_loadable_artifact(self, tmp_path):
+        paths = run_pipeline(tmp_path, count=256, payload=bytes(range(256)) * 16)
+        marked = paths["marked"]
+        done = self.run_limited(["embed", "--in", paths["payload"], "--secret", paths["secret"],
+                                 "--out", marked, "--seed", "12"])
+        assert done.returncode == 2
+        assert marked.read_bytes() == b""
+        with pytest.raises(MalformedFile):
+            load_quantum_message(marked.read_bytes())
 
     def test_a_rerun_into_its_own_directory_is_byte_identical(self, tmp_path):
         def run(count, seeds):

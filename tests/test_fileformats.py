@@ -7,16 +7,20 @@ mis-versioned input must fail loudly instead of being repaired.
 
 import json
 import operator
+import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qumark import fileformats
 from qumark.errors import InvalidProbability, MalformedFile, UnsupportedVersion
 from qumark.fileformats import (
     _decode,
+    _scan_canonical_message,
     dump_observation,
     dump_quantum_message,
     dump_secret,
@@ -120,6 +124,19 @@ class TestSecretFormat:
             load_secret(mutate(dump_secret(SECRET, 0.5), indices=[False, True]))
         with pytest.raises(MalformedFile):
             load_secret(mutate(dump_secret(SECRET, 0.5), indices=[0, True, 6]))
+
+
+@pytest.mark.parametrize("indices", [[0, 2.5, 6], [0, "2", 6], [0, "x"], [True, 2, 6], [0, None],
+                                     [1.5, 0.5], [3, [4]]])
+@pytest.mark.parametrize("other", [
+    {}, {"mark_basis_theta": "90.000000"}, {"key": "!!"}, {"expected_pe": "half"},
+    {"expected_pe": 10**400}, {"expected_pe": 7.5},
+], ids=["alone", "bad-theta", "bad-key", "bad-rate-type", "huge-rate", "rate-out-of-range"])
+def test_an_index_that_is_not_an_integer_is_reported_before_any_other_fault(indices, other):
+    text = mutate(dump_secret(SECRET, 0.5), indices=indices, **other)
+    with pytest.raises(MalformedFile) as caught:
+        load_secret(text)
+    assert str(caught.value) == "secret indices must be a list of integers"
 
 
 @pytest.mark.parametrize("load", [load_secret, load_quantum_message, load_observation])
@@ -428,3 +445,149 @@ def test_bytes_handed_to_a_loader_are_freed_before_the_parse():
     # the decoded text adds its size to the parse's peak; bytes held through
     # the parse would add their size a second time
     assert from_bytes < from_text + 1.5 * len(text)
+
+
+def message_outcome(load, raw):
+    """What a load gives: the message's fields, or the type and text of its error."""
+    try:
+        message = load(raw)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return message.palette, type(message.codes), message.codes, message.writing_basis
+
+
+def json_path_load(raw):
+    """load_quantum_message with the canonical-layout scan switched off."""
+    with mock.patch.object(fileformats, "_scan_canonical_message", return_value=None):
+        return load_quantum_message(raw)
+
+
+@st.composite
+def canonical_dumps(draw):
+    """The bytes dump_quantum_message writes, for 1-12 distinct angles or for over 256."""
+    if draw(st.integers(0, 9)):
+        angles = draw(st.lists(st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=12))
+    else:
+        angles = [0.5 * i for i in range(draw(st.integers(257, 300)))]
+    codes = draw(st.lists(st.integers(0, len(angles) - 1), min_size=1, max_size=40))
+    codes += range(len(angles)) if len(angles) > 256 else []
+    writing = Basis(draw(st.floats(0.0, 90.0, exclude_max=True)))
+    message = QuantumMessage(map(RebitState, angles), codes, writing)
+    return dump_quantum_message(message).encode()
+
+
+# bytes that matter to the layout, plus any byte
+LAYOUT_BYTES = st.sampled_from(b'0123456789."\\,\n ]}u\x00\x80\xff') | st.integers(0, 255)
+
+
+@st.composite
+def mutated(draw, raw):
+    """raw with up to two single-byte substitutions, deletions or insertions."""
+    raw = bytearray(raw)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(raw) - 1))
+        action = draw(st.sampled_from(["substitute", "delete", "insert"]))
+        if action == "delete":
+            del raw[at]
+        elif action == "substitute":
+            raw[at] = draw(LAYOUT_BYTES)
+        else:
+            raw.insert(at, draw(LAYOUT_BYTES))
+    return bytes(raw)
+
+
+class TestCanonicalMessageScan:
+    """The scan of dump_quantum_message's layout loads exactly what json.loads loads."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), slice_bytes=st.sampled_from([1, 13, 64, 1 << 16]))
+    def test_scan_and_json_path_agree(self, data, slice_bytes):
+        # small slices put slice boundaries inside these short documents
+        raw = data.draw(canonical_dumps().flatmap(mutated))
+        with mock.patch.object(fileformats, "_SLICE_BYTES", slice_bytes):
+            fast = message_outcome(load_quantum_message, raw)
+        assert fast == message_outcome(json_path_load, raw)
+
+    @settings(max_examples=50, deadline=None)
+    @given(raw=canonical_dumps())
+    def test_every_canonical_dump_with_at_most_256_angles_is_scanned(self, raw):
+        message = load_quantum_message(raw)
+        assert (_scan_canonical_message(raw) is None) == (len(message.palette) > 256)
+
+    @pytest.mark.parametrize("variant", [
+        lambda text: text.encode("utf-8-sig"),
+        lambda text: text.encode("utf-16"),
+        lambda text: text,
+        lambda text: json.dumps(json.loads(text), indent=4, sort_keys=True).encode(),
+        lambda text: text.replace('"0.000000"', '"\\u0030.000000"').encode(),
+    ], ids=["utf-8-bom", "utf-16", "str", "re-indented", "escaped"])
+    def test_other_layouts_take_the_json_path(self, variant):
+        message = QuantumMessage(map(RebitState, (0.0, 90.0, 45.0)), [0, 1, 0, 2, 0], Basis(0.0))
+        text = dump_quantum_message(message)
+        raw = variant(text)
+        assert raw != text.encode()
+        assert _scan_canonical_message(raw) is None
+        assert message_outcome(load_quantum_message, raw) == message_outcome(
+            load_quantum_message, text.encode()
+        )
+
+    @pytest.mark.parametrize("slice_bytes", [1, 1 << 16])
+    @pytest.mark.parametrize("old, new", [
+        ('"\n  ],', '",\n\n  ],'),  # a trailing comma, then an empty line
+        ('"\n  ],', '",\n  ],'),  # a trailing comma
+        ('  "states": [\n    "0.000000"', '  "states": [\n'),  # an empty first line
+    ], ids=["trailing-comma-empty-line", "trailing-comma", "empty-first"])
+    def test_layout_faults_are_refused_as_json_refuses_them(self, old, new, slice_bytes):
+        message = QuantumMessage(map(RebitState, (0.0, 90.0)), [0, 1, 1, 0], Basis(0.0))
+        text = dump_quantum_message(message)
+        raw = text.replace(old, new, 1).encode()
+        assert raw != text.encode()
+        with mock.patch.object(fileformats, "_SLICE_BYTES", slice_bytes):
+            fast = message_outcome(load_quantum_message, raw)
+        assert fast[0] is MalformedFile
+        assert fast == message_outcome(json_path_load, raw)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="the caller keeps its arguments alive")
+    def test_bytes_the_json_path_reads_are_still_freed_before_the_parse(self):
+        # test_bytes_handed_to_a_loader_are_freed_before_the_parse now takes
+        # the scan; a BOM sends the same document through _decode and json.loads
+        text = dump_quantum_message(build_message("01" * 50_000, Basis(0.0)))
+
+        def peak_of_load(make):
+            tracemalloc.start()
+            try:
+                load_quantum_message(make())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _scan_canonical_message(text.encode("utf-8-sig")) is None
+        from_text = peak_of_load(lambda: text)
+        assert peak_of_load(lambda: text.encode("utf-8-sig")) < from_text + 1.5 * len(text)
+
+    def test_load_allocates_a_fraction_of_the_input(self):
+        bits = format(random.Random(5).getrandbits(1 << 19), f"0{1 << 19}b")
+        raw = dump_quantum_message(build_message(bits, Basis(0.0))).encode()
+        tracemalloc.start()
+        try:
+            message = load_quantum_message(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(message) == 1 << 19
+        # json.loads holds a str per qubit, several times the input's size
+        assert peak <= len(raw) / 2
+
+    @pytest.mark.parametrize("theta, state, error", [
+        ("90.000000", "45.000000", "writing_basis_theta must lie in [0, 90), got 90.000000"),
+        ("0.000000", "180.000000", "state phi must lie in [0, 180), got 180.000000"),
+        ("90.000000", "180.000000", "writing_basis_theta must lie in [0, 90), got 90.000000"),
+    ], ids=["basis", "state", "both"])
+    def test_out_of_range_angles_raise_the_json_path_errors(self, theta, state, error):
+        message = QuantumMessage(map(RebitState, (0.0, 90.0)), [0, 1, 1, 0], Basis(0.0))
+        text = dump_quantum_message(message)
+        text = text.replace('_theta": "0.000000"', f'_theta": "{theta}"')
+        raw = text.replace('    "90.000000"', f'    "{state}"').encode()
+        assert _scan_canonical_message(raw) is not None
+        assert message_outcome(load_quantum_message, raw) == (MalformedFile, error)
+        assert message_outcome(json_path_load, raw) == (MalformedFile, error)

@@ -137,6 +137,15 @@ class TestDerivationParams:
         with pytest.raises(ValueError):
             DerivationParams(6, 0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((6.5, 2), "message_length"), ((True, 1), "message_length"),
+        ((6, 2.0), "mark_count"), ((6, True), "mark_count"),
+    ])
+    def test_counts_must_be_ints(self, args, name):
+        # a float length used to construct and then fail inside range(); true passed for 1
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+            DerivationParams(*args)
+
     def test_too_few_eligible_positions(self):
         with pytest.raises(TooFewEligiblePositions):
             DerivationParams(6, 7)

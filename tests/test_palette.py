@@ -165,6 +165,17 @@ def test_constructor_checks_its_codes():
         QuantumMessage(palette, [], Basis(0.0))
 
 
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(1, 256), codes=st.binary(min_size=1, max_size=64))
+def test_constructor_checks_bytes_codes_against_the_palette_size(size, codes):
+    palette = [RebitState(0.5 * i) for i in range(size)]
+    if max(codes) < size:
+        assert QuantumMessage(palette, codes, Basis(0.0)).codes == codes
+    else:
+        with pytest.raises(IndexOutOfRange, match=rf"^palette codes must lie in \[0, {size}\)$"):
+            QuantumMessage(palette, codes, Basis(0.0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(distinct=st.integers(1, 300), repeats=st.integers(0, 300), seed=SEEDS)
 def test_constructor_merges_equal_angles(distinct, repeats, seed):
