@@ -126,6 +126,9 @@ def shift_attack(message: ObservedMessage, offset: int, pad_bit: int) -> Observe
     length. Verification anchored to absolute positions then compares mostly
     unrelated bits.
     """
+    for name, value in (("offset", offset), ("pad_bit", pad_bit)):
+        if not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if offset < 1:
         raise ValueError(f"offset must be at least 1, got {offset}")
     if offset >= len(message):

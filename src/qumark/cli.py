@@ -279,9 +279,10 @@ def _add_audit(parser: argparse.ArgumentParser, out_help: str | None = None) -> 
     parser.add_argument("--secret", required=True, help="secret file")
     if out_help is not None:
         parser.add_argument("--out", default=None, help=out_help)
+    default = _rule_token(stats.DEFAULT_RULE)
     parser.add_argument(
-        "--rule", default="wilson:0.99",
-        help="decision rule: fixed:EPS, wilson:CONF, or binom:CONF (default wilson:0.99)",
+        "--rule", default=default,
+        help=f"decision rule: fixed:EPS, wilson:CONF, or binom:CONF (default {default})",
     )
 
 
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     embed_cmd.add_argument("--reference-out", default=None,
                            help="reference observation file (default: OUT with .ref suffix)")
     embed_cmd.add_argument("--strict", action="store_true",
-                           help="refuse index sets too small to verify reliably")
+                           help="refuse an index set whose unmarked copy the default rule accepts")
     _add_seed(embed_cmd)
     embed_cmd.set_defaults(handler=_cmd_embed)
 

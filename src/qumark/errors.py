@@ -34,7 +34,7 @@ class InvalidProbability(QumarkError):
 
 
 class SampleTooSmall(QumarkError):
-    """Strict embedding refused an index set too small to verify reliably."""
+    """Strict embedding refused an index set whose unmarked copy the default rule accepts."""
 
 
 class TooFewEligiblePositions(QumarkError):

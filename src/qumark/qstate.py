@@ -110,15 +110,18 @@ class RandomSource(random.Random):
 
     Equal seeds yield equal streams on every platform, which is what makes
     embed and observe transcripts reproducible: draw is random.Random.random
-    itself, so RandomSource(s) draws what random.Random(s) does. A negative
-    seed raises ValueError. A source is single-consumer: concurrent users
-    must take one source each, or draw order is undefined.
+    itself, so RandomSource(s) draws what random.Random(s) does. A seed
+    other than an int or None raises TypeError, a negative one ValueError.
+    A source is single-consumer: concurrent users must take one source
+    each, or draw order is undefined.
     """
 
     def __init__(self, seed: int | None = None) -> None:
         super().__init__(seed)
 
     def seed(self, a: int | None = None, version: int = 2) -> None:
+        if a is not None and not isinstance(a, int):
+            raise TypeError(f"seed must be an int or None, got {type(a).__name__}")
         # random.Random seeds with abs(), so -5 would silently replay 5
         if a is not None and a < 0:
             raise ValueError(f"seed must be nonnegative, got {a}")

@@ -95,6 +95,11 @@ class DecisionRule(Record):
         return cls(EXACT_BINOMIAL, confidence=confidence)
 
 
+# the command line's verify rule when none is named, the one embed asks about an
+# index set, and the test recommended_sample_size plans for
+DEFAULT_RULE = DecisionRule.exact_binomial(0.99)
+
+
 class DecisionOutcome(Record):
     """Verdict plus the numbers that produced it.
 

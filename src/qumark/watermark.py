@@ -39,10 +39,7 @@ from .qstate import (
 )
 
 __all__ = [
-    "COMFORTABLE_MARK_COUNT",
-    "WEAK_PE_THRESHOLD",
     "SmallSampleWarning",
-    "WeakWatermarkWarning",
     "QuantumMessage",
     "WatermarkSecret",
     "ObservedMessage",
@@ -54,16 +51,9 @@ __all__ = [
     "classical_flip_embed",
 ]
 
-COMFORTABLE_MARK_COUNT = 64  # below this, embed warns that verification is shaky
-WEAK_PE_THRESHOLD = 0.05
-
 
 class SmallSampleWarning(UserWarning):
-    """The index set is small enough to make verification unreliable."""
-
-
-class WeakWatermarkWarning(UserWarning):
-    """The basis pair flips so rarely the mark is hard to tell from no mark."""
+    """The default rule would accept an unmarked copy of the index set: 0 errors."""
 
 
 def _check_bitstring(bits: str) -> None:
@@ -275,8 +265,9 @@ def embed(
     Each marked qubit is measured in the message's writing basis and the
     observed bit re-encoded in the marking basis, consuming one rng draw per
     marked position in increasing index order. The input message is left
-    untouched. With strict set, an index set too small for reliable
-    verification raises instead of warning.
+    untouched. When stats.DEFAULT_RULE would accept 0 errors over the index
+    set, so that verification cannot tell an unmarked copy from a marked one,
+    embed warns SmallSampleWarning, or with strict set raises SampleTooSmall.
     """
     _check_indices(secret.indices, len(message))
     if not secret.mark_basis.is_dissimilar_to(message.writing_basis):
@@ -284,25 +275,14 @@ def embed(
             "marking basis equals the writing basis; the mark would never flip"
         )
     pe = expected_error_probability(secret.mark_basis, message.writing_basis)
-    if pe < WEAK_PE_THRESHOLD:
-        warnings.warn(
-            f"flip probability {pe:.4g} is hard to tell from an unwatermarked copy",
-            WeakWatermarkWarning,
-            stacklevel=2,
-        )
-    if strict:
-        needed = stats.recommended_sample_size(pe, 0.0, confidence=0.99, power=0.99)
-        if len(secret.indices) < needed:
-            raise SampleTooSmall(
-                f"{len(secret.indices)} marked positions, strict embedding needs {needed}"
-            )
-    elif len(secret.indices) < COMFORTABLE_MARK_COUNT:
-        warnings.warn(
-            f"only {len(secret.indices)} marked positions; verification on so few"
-            " is statistically weak",
-            SmallSampleWarning,
-            stacklevel=2,
-        )
+    n, rule = len(secret.indices), stats.DEFAULT_RULE
+    if stats.decide(0, n, pe, rule).accepted:  # 0 errors: what an unmarked copy shows
+        text = (f"{n} marked positions at flip rate {pe:.4g}: the default rule, {rule.kind}"
+                f" at confidence {rule.confidence:g}, would accept an unmarked copy;"
+                f" run qumark analyze --pe {pe:.4g} to size the index set")
+        if strict:
+            raise SampleTooSmall(text)
+        warnings.warn(text, SmallSampleWarning, stacklevel=2)
     # a measured qubit reads 0 with P(read 0) and is then rewritten as the
     # marking basis's eigenstate of what it read, code size or size + 1
     size = len(message.palette)
@@ -329,7 +309,9 @@ def verify(
     The reference is the owner's record of the original message observed in
     its writing basis, which for eigenstate messages is simply the original
     plaintext. Only the secret positions are compared; the expected flip
-    rate is recomputed from the marking basis and the observation basis.
+    rate is recomputed from the marking basis and the observation basis,
+    which must differ (BasisNotDissimilar): a rate of 0 passes every unmarked
+    copy. The command line's rule, when none is named, is stats.DEFAULT_RULE.
     """
     if len(suspect) != len(reference):
         raise LengthMismatch(
@@ -337,6 +319,10 @@ def verify(
         )
     if suspect.observation_basis != reference.observation_basis:
         raise BasisMismatch("suspect and reference were observed in different bases")
+    if not secret.mark_basis.is_dissimilar_to(suspect.observation_basis):
+        raise BasisNotDissimilar(
+            "marking basis equals the observation basis; an unmarked copy would pass"
+        )
     _check_indices(secret.indices, len(suspect))
     errors = sum(1 for i in secret.indices if suspect.bits[i] != reference.bits[i])
     total = len(secret.indices)

@@ -250,6 +250,13 @@ class TestShiftAttack:
         with pytest.raises(ValueError):
             shift_attack(obs("0101"), 1, 2)
 
+    @pytest.mark.parametrize(
+        "offset, pad_bit, name", [(1.5, 0, "offset"), ("1", 0, "offset"), (1, 1.0, "pad_bit")]
+    )
+    def test_a_non_int_argument_is_a_type_error_naming_it(self, offset, pad_bit, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            shift_attack(obs("0101"), offset, pad_bit)
+
 
 class TestAttackOutcomes:
     LENGTH = 4096

@@ -140,6 +140,50 @@ class TestGoldenPipeline:
         assert "errors: 0" in out
         assert "decision: reject" in out
 
+    def test_a_strict_embed_is_one_the_default_rule_tells_from_an_unmarked_copy(
+        self, tmp_path, capsys
+    ):
+        # pe 0.25: analyze plans 19 marks for binom:0.99, which rejects 0 errors
+        # in 19, while wilson:0.99 would still accept them
+        paths = {name: tmp_path / f"{name}.json" for name in ("secret", "marked", "reference")}
+        payload = tmp_path / "payload.bin"
+        payload.write_bytes(b"\x65\x00\xff\x3c")
+        assert cli.main([
+            "keygen", "--message-len", "32", "--count", "19", "--mark-basis", "30",
+            "--seed", "7", "--out", str(paths["secret"]),
+        ]) == 0
+        assert cli.main([
+            "embed", "--in", str(payload), "--secret", str(paths["secret"]), "--strict",
+            "--out", str(paths["marked"]), "--reference-out", str(paths["reference"]),
+            "--seed", "11",
+        ]) == 0
+        code = cli.main([
+            "verify", "--suspect", str(paths["reference"]),
+            "--reference", str(paths["reference"]), "--secret", str(paths["secret"]),
+        ])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == 1
+        assert "rule: binom:0.99\nmarks: 19\nerrors: 0\n" in captured.out
+        assert "decision: reject" in captured.out
+
+    def test_a_secret_edited_to_the_writing_basis_is_refused(self, tmp_path, capsys):
+        # pe 0 would accept every unmarked copy
+        paths = run_pipeline(tmp_path)
+        document = json.loads(paths["secret"].read_text())
+        document["mark_basis_theta"] = "0.000000"
+        paths["secret"].write_text(json.dumps(document))
+        code = cli.main([
+            "verify", "--suspect", str(paths["reference"]),
+            "--reference", str(paths["reference"]), "--secret", str(paths["secret"]),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: marking basis equals the observation basis; an unmarked copy would pass\n"
+        )
+
 
 class TestSeeding:
     def test_environment_seed_matches_the_flag(self, tmp_path, monkeypatch, capsys):
@@ -281,9 +325,11 @@ class TestErrorExits:
 
     @pytest.mark.filterwarnings("always::qumark.watermark.SmallSampleWarning")
     def test_a_library_warning_prints_one_line(self, tmp_path, capsys):
-        run_pipeline(tmp_path, count=8)  # embed warns once; keygen and observe are silent
+        run_pipeline(tmp_path, count=4)  # embed warns once; keygen and observe are silent
         assert capsys.readouterr().err == (
-            "warning: only 8 marked positions; verification on so few is statistically weak\n"
+            "warning: 4 marked positions at flip rate 0.5: the default rule, exact_binomial"
+            " at confidence 0.99, would accept an unmarked copy;"
+            " run qumark analyze --pe 0.5 to size the index set\n"
         )
 
     def test_missing_subcommand_is_a_usage_error(self, capsys):
@@ -492,7 +538,7 @@ class TestAuditFlags:
 
     def test_reference_secret_and_rule(self, name):
         args = self.parse(name, "--reference", "r.json", "--secret", "k.json")
-        assert (args.reference, args.secret, args.rule) == ("r.json", "k.json", "wilson:0.99")
+        assert (args.reference, args.secret, args.rule) == ("r.json", "k.json", "binom:0.99")
         args = self.parse(name, "--reference", "r.json", "--secret", "k.json", "--rule", "binom:0.9")
         assert args.rule == "binom:0.9"
 

@@ -217,6 +217,15 @@ class TestRandomSource:
             RandomSource(-5)
         assert 0.0 <= RandomSource(0).draw() < 1.0
 
+    @pytest.mark.parametrize("seed", ["a", b"x", 1.0])
+    def test_a_seed_that_is_not_an_int_is_a_type_error(self, seed):
+        with pytest.raises(TypeError, match="^seed must be an int or None, got"):
+            RandomSource(seed)
+        rng = RandomSource(3)
+        with pytest.raises(TypeError, match="^seed must be an int or None"):
+            rng.seed(seed)
+        assert rng.draw() == RandomSource(3).draw()
+
     def test_unseeded_draws_stay_in_range(self):
         rng = RandomSource()
         assert all(0.0 <= rng.draw() < 1.0 for _ in range(100))

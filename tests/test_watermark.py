@@ -6,6 +6,7 @@ seeded Monte Carlo runs against the Binomial law they must follow, and
 against the classical flip model that mirrors the pipeline.
 """
 
+import math
 import operator
 import warnings
 
@@ -24,14 +25,12 @@ from qumark.errors import (
     SampleTooSmall,
 )
 from qumark.qstate import Basis, RandomSource, expected_error_probability
-from qumark.stats import ACCEPT, DecisionRule
+from qumark.stats import ACCEPT, DEFAULT_RULE, DecisionRule, decide, recommended_sample_size
 from qumark.watermark import (
-    COMFORTABLE_MARK_COUNT,
     ObservedMessage,
     QuantumMessage,
     SmallSampleWarning,
     WatermarkSecret,
-    WeakWatermarkWarning,
     build_message,
     classical_flip_embed,
     embed,
@@ -189,23 +188,51 @@ class TestEmbed:
             embed(message, secret, RandomSource(1))
 
     def test_small_index_set_warns(self):
+        # at a flip rate of one half, 0 errors in 7 marks has p = 2/128 > 0.01
         message = build_message("0" * 128, WRITING)
-        small = WatermarkSecret(indices=tuple(range(COMFORTABLE_MARK_COUNT - 1)), mark_basis=MARK45)
-        with pytest.warns(SmallSampleWarning):
+        small = WatermarkSecret(indices=tuple(range(7)), mark_basis=MARK45)
+        with pytest.warns(SmallSampleWarning, match="^7 marked positions at flip rate 0.5: "):
             embed(message, small, RandomSource(1))
 
-    def test_comfortable_index_set_does_not_warn(self):
+    def test_adequate_index_set_does_not_warn(self):
+        # 0 errors in 8 marks has p = 2/256 < 0.01: binom:0.99 rejects an unmarked copy
         message = build_message("0" * 128, WRITING)
-        secret = WatermarkSecret(indices=tuple(range(COMFORTABLE_MARK_COUNT)), mark_basis=MARK45)
+        secret = WatermarkSecret(indices=tuple(range(8)), mark_basis=MARK45)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             embed(message, secret, RandomSource(1))
 
-    def test_nearly_similar_basis_warns_of_weak_mark(self):
+    def test_nearly_similar_basis_warns_of_a_small_sample(self):
         message = build_message("0" * 128, WRITING)
         secret = WatermarkSecret(indices=tuple(range(64)), mark_basis=Basis(1.0))
-        with pytest.warns(WeakWatermarkWarning):
+        with pytest.warns(SmallSampleWarning):
             embed(message, secret, RandomSource(1))
+
+    def test_strict_mode_asks_the_verdict_not_the_plan(self):
+        # at pe 0.06 the plan is 82 marks, yet binom:0.99 accepts 0 errors in 86
+        mark = Basis(math.degrees(math.asin(math.sqrt(0.06))))
+        pe = expected_error_probability(mark, WRITING)
+        assert recommended_sample_size(pe, 0.0, 0.99, 0.99) == 82
+        message = build_message("0" * 128, WRITING)
+        secret = WatermarkSecret(indices=tuple(range(86)), mark_basis=mark)
+        assert decide(0, 86, pe, DEFAULT_RULE).accepted
+        with pytest.raises(SampleTooSmall, match="^86 marked positions at flip rate 0.06: "):
+            embed(message, secret, RandomSource(1), strict=True)
+
+    @given(
+        theta=st.floats(0.01, 45.0),
+        n=st.integers(1, 2000),
+    )
+    def test_a_silent_embed_means_the_default_rule_rejects_an_unmarked_copy(self, theta, n):
+        mark = Basis(theta)
+        plain = "0" * n
+        secret = WatermarkSecret(indices=range(n), mark_basis=mark)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            embed(build_message(plain, WRITING), secret, RandomSource(0))
+        unmarked = ObservedMessage(bits=plain, observation_basis=WRITING)
+        report = verify(unmarked, unmarked, secret, DEFAULT_RULE)
+        assert report.accepted == any(w.category is SmallSampleWarning for w in caught)
 
     def test_strict_mode_raises_below_the_recommended_size(self):
         message = build_message("0" * 16, WRITING)
@@ -370,6 +397,16 @@ class TestVerify:
         report = verify(reference, reference, secret, DecisionRule.wilson(0.99))
         assert not report.accepted
         assert report.error_count == 0
+
+    @pytest.mark.parametrize("rule", [
+        DecisionRule.fixed(0.25), DecisionRule.wilson(0.99), DecisionRule.exact_binomial(0.99)
+    ])
+    def test_a_mark_basis_equal_to_the_observation_basis_is_refused(self, rule):
+        # the expected rate would be 0, which every unmarked copy matches
+        secret = WatermarkSecret(indices=tuple(range(16)), mark_basis=Basis(30.0 + 1e-12))
+        reference = ObservedMessage(bits="0" * 16, observation_basis=Basis(30.0))
+        with pytest.raises(BasisNotDissimilar):
+            verify(reference, reference, secret, rule)
 
     def test_expected_rate_follows_the_observation_basis(self):
         secret = WatermarkSecret(indices=tuple(range(16)), mark_basis=MARK45)
