@@ -16,11 +16,8 @@ from itertools import compress
 from . import stats
 from ._record import Record
 from .errors import (
-    BasisMismatch,
-    InvalidProbability,
-    LengthMismatch,
-    OffsetTooLarge,
-    TooFewCopies,
+    BasisMismatch, InvalidArgument, LengthMismatch, OffsetTooLarge, TooFewCopies, _bit, _count,
+    _probability
 )
 from .qstate import RandomSource
 from .watermark import (
@@ -113,8 +110,7 @@ def noise_attack(message: ObservedMessage, flip_rate: float, rng: RandomSource) 
     Noise at rate q moves an existing flip rate p to p + q(1 - 2p), so it
     degrades a watermark only by dragging its statistic toward 1/2.
     """
-    if not 0.0 <= flip_rate <= 1.0:
-        raise InvalidProbability(f"flip rate must be in [0, 1], got {flip_rate}")
+    _probability(flip_rate, "flip rate", "[]")
     bits = _flip_bits(message.bits, range(len(message)), flip_rate, rng)
     return ObservedMessage(bits=bits, observation_basis=message.observation_basis)
 
@@ -126,17 +122,13 @@ def shift_attack(message: ObservedMessage, offset: int, pad_bit: int) -> Observe
     length. Verification anchored to absolute positions then compares mostly
     unrelated bits.
     """
-    for name, value in (("offset", offset), ("pad_bit", pad_bit)):
-        if not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    offset, pad_bit = _count(offset, "offset"), _bit(pad_bit, "pad_bit")
     if offset < 1:
-        raise ValueError(f"offset must be at least 1, got {offset}")
+        raise InvalidArgument(f"offset must be at least 1, got {offset}")
     if offset >= len(message):
         raise OffsetTooLarge(
             f"offset {offset} would shift the whole {len(message)}-bit message away"
         )
-    if pad_bit not in (0, 1):
-        raise ValueError(f"pad bit must be 0 or 1, got {pad_bit!r}")
     bits = "01"[pad_bit] * offset + message.bits[: len(message) - offset]
     return ObservedMessage(bits=bits, observation_basis=message.observation_basis)
 
@@ -152,8 +144,4 @@ def run_attack_report(
     before = verify(observation, reference, secret, rule)
     attacked = attack(observation)
     after = verify(attacked, reference, secret, rule)
-    return AttackOutcome(
-        attacked=attacked,
-        verification_before=before,
-        verification_after=after,
-    )
+    return AttackOutcome(attacked, before, after)

@@ -15,11 +15,8 @@ import re
 
 from ._record import Record
 from .errors import (
-    EmptyInput,
-    MalformedHeader,
-    MissingMeta,
-    TruncatedPixelData,
-    UnsupportedMaxval,
+    EmptyInput, InvalidArgument, MalformedHeader, MissingMeta, TruncatedPixelData,
+    UnsupportedMaxval, _bytes, _count
 )
 
 __all__ = [
@@ -45,24 +42,25 @@ _HEADER = rb"\s*(?:#[^\n]*\s*)*(\S*)" * 4 + rb"(\s?)"
 
 def bytes_to_bits(data: bytes) -> str:
     """Big-endian bit expansion: 0xA5 -> '10100101'."""
+    _bytes(data, "data")
     # base-2 conversions of int run in linear time, unlike decimal ones
     return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
 
 
 def _check_bits(bits: str, what: str = "bits") -> None:
-    """Raise TypeError unless bits is a str, ValueError unless its characters are '0' or '1'."""
+    """Raise TypeError unless bits is a str, InvalidArgument unless it holds only '0' and '1'."""
     if not isinstance(bits, str):
         raise TypeError(f"{what} must be a str of '0'/'1', got {type(bits).__name__}")
     # int(_, 2) would also accept a 0b prefix, underscores and whitespace
     if bits.encode("ascii", "replace").translate(None, b"01"):
-        raise ValueError(f"{what} may contain only '0' and '1'")
+        raise InvalidArgument(f"{what} may contain only '0' and '1'")
 
 
 def bits_to_bytes(bits: str) -> bytes:
     """Inverse of bytes_to_bits; the length must be a whole number of bytes."""
-    if len(bits) % 8:
-        raise ValueError(f"bit length {len(bits)} is not a multiple of 8")
     _check_bits(bits)
+    if len(bits) % 8:
+        raise InvalidArgument(f"bit length {len(bits)} is not a multiple of 8")
     return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
 
@@ -73,11 +71,12 @@ class CarrierPayload(Record):
     format_tag: str
 
     def _check(self) -> None:
-        _check_bits(self.bits)
-        if self.format_tag not in (RAW, PGM_LSB):
-            raise ValueError(f"unknown format tag {self.format_tag!r}")
-        if self.format_tag == PGM_LSB and len(self.bits) % 8:
-            raise ValueError(f"a PGM payload holds whole pixel bytes, got {len(self.bits)} bits")
+        bits, tag = self.bits, self.format_tag
+        _check_bits(bits)
+        if tag not in (RAW, PGM_LSB):
+            raise InvalidArgument(f"unknown format tag {tag!r}")
+        if tag == PGM_LSB and len(bits) % 8:
+            raise InvalidArgument(f"a PGM payload holds whole pixel bytes, got {len(bits)} bits")
 
     @property
     def eligibility_mask(self) -> str:
@@ -95,9 +94,7 @@ class ImageMeta(Record):
     max_value = 255  # not annotated, so not a field: no other maxval is supported
 
     def _check(self) -> None:
-        width, height = self.width, self.height
-        if not (type(width) is int and type(height) is int):
-            raise TypeError(f"image width and height must be int, got {self}")
+        width, height = _count(self.width, "width"), _count(self.height, "height")
         if width < 1 or height < 1:
             raise MalformedHeader(f"image dimensions must be positive, got {width}x{height}")
 
@@ -108,6 +105,7 @@ def ingest_raw(data: bytes) -> CarrierPayload:
     Callers accept that watermark flips may be perceptible anywhere in the
     stream; use an image format when that matters.
     """
+    _bytes(data, "data")
     if not data:
         raise EmptyInput("raw payload is empty")
     return CarrierPayload(bits=bytes_to_bits(data), format_tag=RAW)
@@ -123,6 +121,7 @@ def ingest_pgm(data: bytes) -> tuple[CarrierPayload, ImageMeta]:
     payload's eligibility mask admits only the least significant bit of each
     pixel byte.
     """
+    _bytes(data, "data")
     if not data:
         raise EmptyInput("image payload is empty")
     header = re.match(_HEADER, data)
@@ -173,7 +172,7 @@ def emit(payload: CarrierPayload, meta: ImageMeta | None = None) -> bytes:
         raise MissingMeta("PGM emission needs the ImageMeta from ingestion")
     pixels = bits_to_bytes(payload.bits)
     if len(pixels) != meta.width * meta.height:
-        raise ValueError(
+        raise InvalidArgument(
             f"payload describes {len(pixels)} pixels,"
             f" metadata says {meta.width * meta.height}"
         )

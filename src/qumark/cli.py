@@ -82,7 +82,10 @@ def _parse_rule(token: str) -> stats.DecisionRule:
     kind, _, value = token.partition(":")
     if not value:
         raise ValueError(f"rule needs a parameter, e.g. wilson:0.99, got {token!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValueError(f"rule parameter must be a number, got {token!r}") from None
     if kind == "fixed":
         return stats.DecisionRule.fixed(number)
     if kind == "wilson":
@@ -114,18 +117,6 @@ def _print_report(report, rule: stats.DecisionRule) -> None:
     print(f"decision: {report.decision}")
 
 
-def _ingest_payload(data: bytes, format_tag: str) -> carrier.CarrierPayload:
-    if format_tag == "pgm":
-        payload, _meta = carrier.ingest_pgm(data)
-        return payload
-    return carrier.ingest_raw(data)
-
-
-def _default_reference_path(out: str) -> str:
-    root, ext = os.path.splitext(out)
-    return f"{root}.ref{ext or '.json'}"
-
-
 def _cmd_keygen(args: argparse.Namespace) -> int:
     mask = None
     length = args.message_len
@@ -141,9 +132,7 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     if not mark.is_dissimilar_to(writing):
         raise ValueError("--mark-basis must differ from --writing-basis")
     key = SecretKey.generate(_seed_from(args))
-    params = DerivationParams(
-        message_length=length, mark_count=args.count, eligibility_mask=mask
-    )
+    params = DerivationParams(message_length=length, mark_count=args.count, eligibility_mask=mask)
     secret = generate_secret(key, params, mark)
     expected_pe = expected_error_probability(mark, writing)
     _write_text(args.out, fileformats.dump_secret(secret, expected_pe))
@@ -153,7 +142,10 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 def _cmd_embed(args: argparse.Namespace) -> int:
     if args.out == "-":
         raise ValueError("embed writes two artifacts and needs --out FILE")
-    payload = _ingest_payload(_read_bytes(args.infile), args.format)
+    if args.format == "pgm":
+        payload, _meta = carrier.ingest_pgm(_read_bytes(args.infile))
+    else:
+        payload = carrier.ingest_raw(_read_bytes(args.infile))
     secret, _recorded_pe = fileformats.load_secret(_read_bytes(args.secret))
     # every raw bit is eligible; an index past the end is left to embed,
     # which names the valid range
@@ -170,7 +162,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     marked = embed(message, secret, RandomSource(_seed_from(args)), strict=args.strict)
     _write_text(args.out, fileformats.dump_quantum_message(marked))
     reference = ObservedMessage(bits=payload.bits, observation_basis=writing)
-    reference_out = args.reference_out or _default_reference_path(args.out)
+    root, ext = os.path.splitext(args.out)
+    reference_out = args.reference_out or f"{root}.ref{ext or '.json'}"
     _write_text(reference_out, fileformats.dump_observation(reference))
     return 0
 
@@ -354,7 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_audit(averaging, "write the recovered observation here")
     averaging.set_defaults(handler=_cmd_attack_averaging)
 
-    analyze = sub.add_parser("analyze", help="recommend index set sizes")
+    analyze = sub.add_parser("analyze", help="recommend index set sizes", description=(
+        "Print, per rate pair, the marks at which the exact binomial test of pe rejects a copy"
+        " flipping at the null rate with probability at least --power. The test is discrete, so"
+        " a larger set can fall short again: at pe 0.06 the table says 82, yet 86 to 88 marks"
+        " accept an unmarked copy. embed checks the size actually chosen."))
     analyze.add_argument("--pe", required=True,
                          help="comma-separated expected flip rates, e.g. 0.5,0.25")
     analyze.add_argument("--null", default="0.0",

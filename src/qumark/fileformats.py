@@ -16,7 +16,7 @@ import json
 import re
 
 from .carrier import bits_to_bytes, bytes_to_bits
-from .errors import InvalidProbability, MalformedFile, UnsupportedVersion
+from .errors import MalformedFile, UnsupportedVersion, _bytes, _probability
 from .qstate import Basis, RebitState
 from .watermark import ObservedMessage, QuantumMessage, WatermarkSecret, _int_items
 
@@ -68,7 +68,8 @@ def _decode(text: str | bytes, kind: str) -> str:
     bytes over, as the CLI does, then has them freed before the parse, which
     is the peak of a load: it holds the text and every parsed object at once.
     """
-    if not isinstance(text, (bytes, bytearray)):
+    _bytes(text, "text", or_str=True)
+    if isinstance(text, str):
         return text
     try:
         return text.decode(json.detect_encoding(text), "surrogatepass")
@@ -111,8 +112,7 @@ def dump_secret(secret: WatermarkSecret, expected_pe: float) -> str:
     The stored rate is advisory. Verification recomputes the rate from the
     bases actually in play, so editing this field cannot flip a verdict.
     """
-    if not 0.0 <= expected_pe <= 1.0:  # also refuses NaN, which JSON cannot hold
-        raise InvalidProbability(f"expected_pe must be in [0, 1], got {expected_pe}")
+    _probability(expected_pe, "expected_pe", "[]")  # also refuses NaN, which JSON cannot hold
     key_field = None
     if secret.key is not None:
         key_field = base64.b64encode(secret.key).decode("ascii")
@@ -283,11 +283,8 @@ def dump_observation(observation: ObservedMessage) -> str:
 def load_observation(text: str | bytes) -> ObservedMessage:
     text = _decode(text, "observation")
     document = _load(text, OBSERVATION_FORMAT_VERSION, "observation")
-    theta = _parse_angle(
-        _field(document, "observation_basis_theta", "observation"),
-        "observation_basis_theta",
-        90.0,
-    )
+    field = "observation_basis_theta"
+    theta = _parse_angle(_field(document, field, "observation"), field, 90.0)
     bit_length = _field(document, "bit_length", "observation")
     if not isinstance(bit_length, int) or isinstance(bit_length, bool) or bit_length < 1:
         raise MalformedFile("bit_length must be a positive integer")

@@ -17,7 +17,7 @@ from itertools import compress, count
 
 from ._record import Record
 from .carrier import _check_bits
-from .errors import TooFewEligiblePositions
+from .errors import InvalidArgument, TooFewEligiblePositions, _bytes, _count
 from .qstate import Basis, RandomSource
 from .watermark import _BITS_TO_CODES, WatermarkSecret
 
@@ -40,11 +40,10 @@ class SecretKey(Record):
     data: bytes
 
     def __init__(self, data: bytes) -> None:
-        if not isinstance(data, (bytes, bytearray)):
-            raise TypeError(f"key data must be bytes, got {type(data).__name__}")
+        _bytes(data, "key data")
         vars(self).update(data=bytes(data))
         if len(data) < MIN_KEY_BYTES:
-            raise ValueError(f"key must be at least {MIN_KEY_BYTES} bytes, got {len(data)}")
+            raise InvalidArgument(f"key must be at least {MIN_KEY_BYTES} bytes, got {len(data)}")
 
     @classmethod
     def generate(cls, seed: int | None = None) -> "SecretKey":
@@ -67,18 +66,12 @@ class DerivationParams(Record):
 
     def _check(self) -> None:
         message_length, mask = self.message_length, self.eligibility_mask
-        for name in ("message_length", "mark_count"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if message_length < 1:
-            raise ValueError(f"message length must be positive, got {message_length}")
-        if self.mark_count < 1:
-            raise ValueError(f"mark count must be positive, got {self.mark_count}")
+        _count(message_length, "message_length", 1)
+        _count(self.mark_count, "mark_count", 1)
         if mask is not None:
             _check_bits(mask, "eligibility mask")
             if len(mask) != message_length:
-                raise ValueError(
+                raise InvalidArgument(
                     f"mask length {len(mask)} does not match message length {message_length}"
                 )
         eligible = self.eligible_count()
@@ -146,8 +139,4 @@ def derive_indices(key: SecretKey, params: DerivationParams) -> tuple[int, ...]:
 
 def generate_secret(key: SecretKey, params: DerivationParams, mark_basis: Basis) -> WatermarkSecret:
     """Bundle a derived index set with its marking basis and the key that made it."""
-    return WatermarkSecret(
-        indices=derive_indices(key, params),
-        mark_basis=mark_basis,
-        key=key.data,
-    )
+    return WatermarkSecret(derive_indices(key, params), mark_basis, key.data)

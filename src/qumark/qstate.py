@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+from sys import float_info
 
 from ._record import Record
+from .errors import InvalidArgument, _bit, _count, _number
 
 __all__ = [
     "ANGLE_TOLERANCE",
@@ -28,10 +30,10 @@ __all__ = [
 ANGLE_TOLERANCE = 1e-9  # degrees; angles closer than this count as the same angle
 
 
-def _reduce_angle(value: float, period: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"angle must be finite, got {value!r}")
-    reduced = value % period
+def _reduce_angle(value: float, name: str, period: float) -> float:
+    if not abs(_number(value, name)) <= float_info.max:  # NaN, inf, or an int past floats
+        raise InvalidArgument(f"angle must be finite, got {value!r}")
+    reduced = float(value) % period
     # x % period can round up to period itself for tiny negative x
     return 0.0 if reduced == period else reduced
 
@@ -59,12 +61,6 @@ def _fold(delta: float) -> float:
     return d
 
 
-def _check_bit(bit: int) -> int:
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return bit
-
-
 class Basis(Record):
     """Writing or measurement basis {|theta>, |theta + 90>}.
 
@@ -75,7 +71,7 @@ class Basis(Record):
     theta: float
 
     def __init__(self, theta: float) -> None:
-        vars(self).update(theta=_reduce_angle(float(theta), 90.0))
+        vars(self).update(theta=_reduce_angle(theta, "theta", 90.0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Basis):
@@ -97,7 +93,7 @@ class RebitState(Record):
     phi: float
 
     def __init__(self, phi: float) -> None:
-        vars(self).update(phi=_reduce_angle(float(phi), 180.0))
+        vars(self).update(phi=_reduce_angle(phi, "phi", 180.0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RebitState):
@@ -111,7 +107,7 @@ class RandomSource(random.Random):
     Equal seeds yield equal streams on every platform, which is what makes
     embed and observe transcripts reproducible: draw is random.Random.random
     itself, so RandomSource(s) draws what random.Random(s) does. A seed
-    other than an int or None raises TypeError, a negative one ValueError.
+    other than an int or None raises TypeError, a negative one InvalidArgument.
     A source is single-consumer: concurrent users must take one source
     each, or draw order is undefined.
     """
@@ -120,12 +116,8 @@ class RandomSource(random.Random):
         super().__init__(seed)
 
     def seed(self, a: int | None = None, version: int = 2) -> None:
-        if a is not None and not isinstance(a, int):
-            raise TypeError(f"seed must be an int or None, got {type(a).__name__}")
         # random.Random seeds with abs(), so -5 would silently replay 5
-        if a is not None and a < 0:
-            raise ValueError(f"seed must be nonnegative, got {a}")
-        super().seed(a, version)
+        super().seed(a if a is None else _count(a, "seed", 0, "an int or None"), version)
 
     draw = random.Random.random  # the next uniform draw in [0, 1)
 
@@ -135,13 +127,12 @@ def encode_bit(bit: int, basis: Basis) -> RebitState:
 
     Measuring the result in the same basis returns bit with probability 1.
     """
-    _check_bit(bit)
-    return RebitState(basis.theta + 90.0 * bit)
+    return RebitState(basis.theta + 90.0 * _bit(bit, "bit"))
 
 
 def outcome_probability(state: RebitState, basis: Basis, bit: int) -> float:
     """Born-rule probability of reading bit when measuring state in basis."""
-    _check_bit(bit)
+    bit = _bit(bit, "bit")
     d = _fold(state.phi - basis.theta)
     # exact quarter turns get exact probabilities, so eigenstates of the
     # measured basis behave deterministically for every rng

@@ -11,15 +11,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, repeat
-from operator import add, index, mul, sub
+from operator import add, mul, sub
 
 from ._record import Record
 from .errors import (
-    CountExceedsTotal,
-    InvalidProbability,
-    RatesEqual,
-    Unachievable,
-    ZeroTotal,
+    CountExceedsTotal, InvalidArgument, InvalidProbability, RatesEqual, Unachievable, ZeroTotal,
+    _count, _probability
 )
 
 __all__ = [
@@ -71,16 +68,17 @@ class DecisionRule(Record):
         kind, tolerance, confidence = self.kind, self.tolerance, self.confidence
         if kind == FIXED_TOLERANCE:
             if confidence is not None:
-                raise ValueError("fixed tolerance rule takes no confidence")
-            if tolerance is None or not 0.0 < tolerance < 1.0:
-                raise ValueError(f"tolerance must be in (0, 1), got {tolerance!r}")
+                raise InvalidArgument("fixed tolerance rule takes no confidence")
+            name, value = "tolerance", tolerance
         elif kind in (WILSON_INTERVAL, EXACT_BINOMIAL):
             if tolerance is not None:
-                raise ValueError(f"{kind} rule takes no tolerance")
-            if confidence is None or not 0.0 < confidence < 1.0:
-                raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+                raise InvalidArgument(f"{kind} rule takes no tolerance")
+            name, value = "confidence", confidence
         else:
-            raise ValueError(f"unknown decision rule kind {kind!r}")
+            raise InvalidArgument(f"unknown decision rule kind {kind!r}")
+        if value is None:  # the kind needs it: a missing value, not a wrong type
+            raise InvalidProbability(f"{name} must be in (0, 1), got None")
+        _probability(value, name, "()")
 
     @classmethod
     def fixed(cls, tolerance: float) -> "DecisionRule":
@@ -132,10 +130,11 @@ class SampleSizeSpec(Record):
 
 def relative_frequency(errors: int, total: int) -> float:
     """Observed error fraction errors/total."""
+    errors, total = _count(errors, "errors"), _count(total, "total")
     if total <= 0:
         raise ZeroTotal(f"sample size must be positive, got {total}")
     if errors < 0:
-        raise ValueError(f"error count must be nonnegative, got {errors}")
+        raise InvalidArgument(f"error count must be nonnegative, got {errors}")
     if errors > total:
         raise CountExceedsTotal(f"{errors} errors in a sample of {total}")
     return errors / total
@@ -261,10 +260,9 @@ def _exact_binomial_p_value(errors: int, total: int, rate: float) -> float:
 
 def decide(errors: int, total: int, expected_pe: float, rule: DecisionRule) -> DecisionOutcome:
     """Apply rule to an observed error count against the expected flip rate."""
-    errors, total = index(errors), index(total)  # every rule needs whole counts
+    errors, total = _count(errors, "errors"), _count(total, "total")  # whole counts, as ints
     statistic = relative_frequency(errors, total)
-    if not 0.0 <= expected_pe <= 1.0:
-        raise InvalidProbability(f"expected rate must be in [0, 1], got {expected_pe}")
+    _probability(expected_pe, "expected rate", "[]")
     if rule.kind == FIXED_TOLERANCE:
         low = statistic - rule.tolerance
         high = statistic + rule.tolerance
@@ -287,8 +285,7 @@ def min_sample_size_literal(pe: float) -> SampleSizeSpec:
     pe > 0), so it is a floor rather than a usable sample size; see
     recommended_sample_size for actual guidance.
     """
-    if not 0.0 <= pe <= 1.0:
-        raise InvalidProbability(f"pe must be in [0, 1], got {pe}")
+    _probability(pe, "pe", "[]")
     return SampleSizeSpec(a=0, b=1) if pe == 0 else SampleSizeSpec(a=1, b=0)
 
 
@@ -329,14 +326,10 @@ def recommended_sample_size(pe: float, null_rate: float, confidence: float, powe
     rates of 0.02 or less it can be larger. Raises Unachievable when no n up
     to MAX_SAMPLE_SIZE suffices.
     """
-    if not 0.0 < pe < 1.0:
-        raise InvalidProbability(f"pe must be in (0, 1), got {pe}")
-    if not 0.0 <= null_rate < 1.0:
-        raise InvalidProbability(f"null rate must be in [0, 1), got {null_rate}")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidProbability(f"confidence must be in (0, 1), got {confidence}")
-    if not 0.0 < power < 1.0:
-        raise InvalidProbability(f"power must be in (0, 1), got {power}")
+    _probability(pe, "pe", "()")
+    _probability(null_rate, "null rate", "[)")
+    _probability(confidence, "confidence", "()")
+    _probability(power, "power", "()")
     if pe == null_rate:
         raise RatesEqual("pe and null rate are identical, no sample size separates them")
 

@@ -21,13 +21,8 @@ from . import stats
 from ._record import Record
 from .carrier import _check_bits
 from .errors import (
-    BasisMismatch,
-    BasisNotDissimilar,
-    EmptyMessage,
-    IndexOutOfRange,
-    InvalidProbability,
-    LengthMismatch,
-    SampleTooSmall,
+    BasisMismatch, BasisNotDissimilar, EmptyMessage, IndexOutOfRange, InvalidArgument,
+    LengthMismatch, SampleTooSmall, _bytes, _probability
 )
 from .qstate import (
     Basis,
@@ -65,9 +60,7 @@ def _check_bitstring(bits: str) -> None:
 def _check_indices(indices: Sequence[int], length: int) -> None:
     # indices arrive sorted, so the ends bound the whole set
     if indices and (indices[0] < 0 or indices[-1] >= length):
-        raise IndexOutOfRange(
-            f"indices must lie in [0, {length}), got {indices[0]}..{indices[-1]}"
-        )
+        raise IndexOutOfRange(f"indices must lie in [0, {length}), got {indices[0]}..{indices[-1]}")
 
 
 def _flip_kernel(
@@ -203,13 +196,15 @@ class WatermarkSecret(Record):
         indices = tuple(indices)
         if not _int_items(indices):
             indices = tuple(map(int, indices))
+        if key is not None:
+            _bytes(key, "key")
         vars(self).update(indices=indices, mark_basis=mark_basis, key=key)
         if not indices:
-            raise ValueError("index set must not be empty")
+            raise InvalidArgument("index set must not be empty")
         if indices[0] < 0:
             raise IndexOutOfRange(f"indices must be nonnegative, got {indices[0]}")
         if not all(map(operator.lt, indices, islice(indices, 1, None))):  # islice copies nothing
-            raise ValueError("indices must be strictly increasing")
+            raise InvalidArgument("indices must be strictly increasing")
 
 
 class ObservedMessage(Record):
@@ -314,9 +309,7 @@ def verify(
     copy. The command line's rule, when none is named, is stats.DEFAULT_RULE.
     """
     if len(suspect) != len(reference):
-        raise LengthMismatch(
-            f"suspect has {len(suspect)} bits, reference has {len(reference)}"
-        )
+        raise LengthMismatch(f"suspect has {len(suspect)} bits, reference has {len(reference)}")
     if suspect.observation_basis != reference.observation_basis:
         raise BasisMismatch("suspect and reference were observed in different bases")
     if not secret.mark_basis.is_dissimilar_to(suspect.observation_basis):
@@ -330,20 +323,14 @@ def verify(
     return VerificationReport(errors, total, pe, stats.decide(errors, total, pe, rule))
 
 
-def classical_flip_embed(
-    bits: str,
-    indices: Iterable[int],
-    pe: float,
-    rng: RandomSource,
-) -> str:
+def classical_flip_embed(bits: str, indices: Iterable[int], pe: float, rng: RandomSource) -> str:
     """Classical twin of embed-then-observe: flip each indexed bit with probability pe.
 
     Draws once per index in increasing order, so transcripts are directly
     comparable with the quantum pipeline's statistics.
     """
     _check_bitstring(bits)
-    if not 0.0 <= pe <= 1.0:
-        raise InvalidProbability(f"flip probability must be in [0, 1], got {pe}")
+    _probability(pe, "flip probability", "[]")
     order = sorted({int(i) for i in indices})
     _check_indices(order, len(bits))
     return _flip_bits(bits, order, pe, rng)

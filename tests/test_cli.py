@@ -339,6 +339,46 @@ class TestErrorExits:
         capsys.readouterr()
 
 
+AUDIT = ["--reference", "{reference}", "--secret", "{secret}"]
+
+# a flag argparse takes but the library refuses, and the one line it prints
+MALFORMED_FLAGS = [
+    (["keygen", "--message-len", "8", "--count", "-1"],
+     "mark count must be positive, got -1"),
+    (["keygen", "--message-len", "0", "--count", "1"],
+     "message length must be positive, got 0"),
+    (["keygen", "--message-len", "8", "--count", "1", "--writing-basis", "nan"],
+     "angle must be finite, got nan"),
+    (["attack", "shift", "--in", "{suspect}", "--offset", "-1", *AUDIT],
+     "offset must be at least 1, got -1"),
+    (["attack", "noise", "--in", "{suspect}", "--rate", "nan", "--seed", "1", *AUDIT],
+     "flip rate must be in [0, 1], got nan"),
+    (["attack", "averaging", "--copies", "{suspect}", *AUDIT],
+     "averaging needs at least two copies, got 1"),
+    (["analyze", "--pe", "-0.1"], "pe must be in (0, 1), got -0.1"),
+    (["analyze", "--pe", "0.5", "--power", "nan"], "power must be in (0, 1), got nan"),
+    (["analyze", "--pe", "0.5", "--confidence", "0"], "confidence must be in (0, 1), got 0.0"),
+    (["verify", "--suspect", "{suspect}", *AUDIT, "--rule", "wilson:0"],
+     "confidence must be in (0, 1), got 0.0"),
+    (["verify", "--suspect", "{suspect}", *AUDIT, "--rule", "fixed:nan"],
+     "tolerance must be in (0, 1), got nan"),
+    (["verify", "--suspect", "{suspect}", *AUDIT, "--rule", "binom:abc"],
+     "rule parameter must be a number, got 'binom:abc'"),
+    (["verify", "--suspect", "{suspect}", *AUDIT, "--rule", "binom:0.99:x"],
+     "rule parameter must be a number, got 'binom:0.99:x'"),
+]
+
+
+@pytest.mark.parametrize("argv, err", MALFORMED_FLAGS,
+                         ids=[f"{argv[0]}-{argv[-1]}" for argv, _ in MALFORMED_FLAGS])
+def test_a_malformed_flag_exits_2_with_one_error_line(argv, err, tmp_path, capsys):
+    paths = {name: str(path) for name, path in run_pipeline(tmp_path, count=8).items()}
+    capsys.readouterr()
+    code = cli.main([token.format(**paths) for token in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
 class TestArtifactBytes:
     """The CLI reads every artifact as the bytes load_* accepts."""
 

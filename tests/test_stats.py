@@ -296,6 +296,13 @@ class TestRecommendedSampleSize:
     def test_least_size_at_small_rates(self, case, least):
         assert recommended_sample_size(*case) == least
 
+    def test_a_larger_set_can_fall_short_of_the_planned_size(self):
+        # what analyze --help and the README say: the exact test is discrete,
+        # so past the least size that rejects 0 errors, 86-88 marks accept them
+        assert recommended_sample_size(0.06, 0.0, 0.99, 0.99) == 82
+        accepted = [n for n in range(82, 92) if decide(0, n, 0.06, stats.DEFAULT_RULE).accepted]
+        assert accepted == [86, 87, 88]
+
     def test_closer_rates_need_more_marks(self):
         sizes = [
             recommended_sample_size(0.5, null, 0.99, 0.99)
