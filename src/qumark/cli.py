@@ -30,17 +30,11 @@ SEED_ENV_VAR = "QUMARK_SEED"
 
 
 def _seed_from(args: argparse.Namespace) -> int | None:
-    seed, source = args.seed, "--seed"
+    """--seed, else QUMARK_SEED, else None; RandomSource refuses a negative one."""
     env = os.environ.get(SEED_ENV_VAR)
-    if seed is None and env:
-        try:
-            seed, source = int(env), SEED_ENV_VAR
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    # random.Random seeds with abs(), so -5 would silently replay 5
-    if seed is not None and seed < 0:
-        raise ValueError(f"{source} must be nonnegative, got {seed}")
-    return seed
+    if args.seed is not None or not env:
+        return args.seed
+    return _parse(int, env, f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -78,14 +72,24 @@ def _write_text(path: str, text: str) -> None:
                 os.ftruncate(handle.fileno(), length)
 
 
+def _parse(convert: type, text: str, error: str) -> int | float:
+    """convert(text) for text that argparse does not convert, or ValueError(error)."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(error) from None
+
+
+def _numbers(text: str, flag: str) -> list[float]:
+    error = f"{flag} must be comma-separated numbers, got {text!r}"
+    return [_parse(float, value, error) for value in text.split(",") if value]
+
+
 def _parse_rule(token: str) -> stats.DecisionRule:
     kind, _, value = token.partition(":")
     if not value:
         raise ValueError(f"rule needs a parameter, e.g. wilson:0.99, got {token!r}")
-    try:
-        number = float(value)
-    except ValueError:
-        raise ValueError(f"rule parameter must be a number, got {token!r}") from None
+    number = _parse(float, value, f"rule parameter must be a number, got {token!r}")
     if kind == "fixed":
         return stats.DecisionRule.fixed(number)
     if kind == "wilson":
@@ -241,8 +245,7 @@ def _cmd_attack_averaging(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    pes = [float(v) for v in args.pe.split(",") if v]
-    nulls = [float(v) for v in args.null.split(",") if v]
+    pes, nulls = _numbers(args.pe, "--pe"), _numbers(args.null, "--null")
     if not pes or not nulls:
         raise ValueError("--pe and --null need at least one value each")
     # every size is computed before the table is printed, so a failure prints none of it

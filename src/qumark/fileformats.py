@@ -11,7 +11,6 @@ error rather than a guess.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import re
 
@@ -113,15 +112,12 @@ def dump_secret(secret: WatermarkSecret, expected_pe: float) -> str:
     bases actually in play, so editing this field cannot flip a verdict.
     """
     _probability(expected_pe, "expected_pe", "[]")  # also refuses NaN, which JSON cannot hold
-    key_field = None
-    if secret.key is not None:
-        key_field = base64.b64encode(secret.key).decode("ascii")
     return _dump(
         {
             "version": SECRET_FORMAT_VERSION,
             "indices": list(secret.indices),
             "mark_basis_theta": _format_angle(secret.mark_basis.theta, 90.0),
-            "key": key_field,
+            "key": None if secret.key is None else base64.b64encode(secret.key).decode("ascii"),
             "expected_pe": expected_pe,
         }
     )
@@ -136,42 +132,33 @@ def load_secret(text: str | bytes) -> tuple[WatermarkSecret, float]:
     indices = _field(document, "indices", "secret")
     if not isinstance(indices, list):
         raise MalformedFile(_NOT_INTEGERS)
-    indices = tuple(indices)
     try:
         theta = _parse_angle(
             _field(document, "mark_basis_theta", "secret"), "mark_basis_theta", 90.0
         )
-        key = _parse_key(_field(document, "key", "secret"))
+        key = _field(document, "key", "secret")
+        key = key if key is None else _base64(key, "secret key")
         expected_pe = _field(document, "expected_pe", "secret")
-        if not isinstance(expected_pe, (int, float)) or isinstance(expected_pe, bool):
-            raise MalformedFile("expected_pe must be a number")
+        _probability(expected_pe, "expected_pe", "[]")  # what dump_secret refuses to write
         secret = WatermarkSecret(indices, Basis(theta), key)
-        expected_pe = float(expected_pe)  # an integer past 2**1024 overflows
-    except (ValueError, OverflowError, TypeError) as exc:  # int() of a str, None or a list
+    except (ValueError, TypeError) as exc:
         # an index that is not an integer is reported first, as if checked first
         if not _int_items(indices):
             raise MalformedFile(_NOT_INTEGERS) from None
         if isinstance(exc, MalformedFile):
             raise
         raise MalformedFile(f"secret file holds an invalid secret: {exc}") from None
-    # the constructor's one type pass keeps the tuple it is given when every
-    # index is an int, and converts the indices otherwise, which a file may not ask
-    if secret.indices is not indices:
-        raise MalformedFile(_NOT_INTEGERS)
-    if not 0.0 <= expected_pe <= 1.0:  # what dump_secret refuses to write
-        raise MalformedFile(f"expected_pe must be in [0, 1], got {expected_pe}")
-    return secret, expected_pe
+    return secret, float(expected_pe)
 
 
-def _parse_key(key_field: object) -> bytes | None:
-    if key_field is None:
-        return None
-    if not isinstance(key_field, str):
-        raise MalformedFile("secret key must be a base64 string or null")
+def _base64(value: object, field: str) -> bytes:
+    """The bytes a base64 string field holds; MalformedFile naming the field for anything else."""
+    if not isinstance(value, str):
+        raise MalformedFile(f"{field} must be a base64 string, got {type(value).__name__}")
     try:
-        return base64.b64decode(key_field, validate=True)
-    except (binascii.Error, ValueError):
-        raise MalformedFile("secret key is not valid base64") from None
+        return base64.b64decode(value, validate=True)
+    except ValueError:  # binascii.Error is one
+        raise MalformedFile(f"{field} must be valid base64") from None
 
 
 def dump_quantum_message(message: QuantumMessage) -> str:
@@ -288,13 +275,7 @@ def load_observation(text: str | bytes) -> ObservedMessage:
     bit_length = _field(document, "bit_length", "observation")
     if not isinstance(bit_length, int) or isinstance(bit_length, bool) or bit_length < 1:
         raise MalformedFile("bit_length must be a positive integer")
-    encoded = _field(document, "bits", "observation")
-    if not isinstance(encoded, str):
-        raise MalformedFile("observation bits must be a base64 string")
-    try:
-        packed = base64.b64decode(encoded, validate=True)
-    except (binascii.Error, ValueError):
-        raise MalformedFile("observation bits are not valid base64") from None
+    packed = _base64(_field(document, "bits", "observation"), "observation bits")
     if not bit_length <= 8 * len(packed) < bit_length + 8:
         raise MalformedFile(
             f"bit length {bit_length} inconsistent with a {len(packed)}-byte payload"

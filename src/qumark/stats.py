@@ -9,6 +9,7 @@ frequency, a Wilson score interval, and a two-sided exact binomial test.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, repeat
 from operator import add, mul, sub
@@ -261,6 +262,8 @@ def _exact_binomial_p_value(errors: int, total: int, rate: float) -> float:
 def decide(errors: int, total: int, expected_pe: float, rule: DecisionRule) -> DecisionOutcome:
     """Apply rule to an observed error count against the expected flip rate."""
     errors, total = _count(errors, "errors"), _count(total, "total")  # whole counts, as ints
+    if total > sys.float_info.max:  # the interval rules compute with float(total)
+        raise InvalidArgument(f"total must fit a float, got a {total.bit_length()}-bit count")
     statistic = relative_frequency(errors, total)
     _probability(expected_pe, "expected rate", "[]")
     if rule.kind == FIXED_TOLERANCE:

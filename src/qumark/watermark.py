@@ -22,7 +22,7 @@ from ._record import Record
 from .carrier import _check_bits
 from .errors import (
     BasisMismatch, BasisNotDissimilar, EmptyMessage, IndexOutOfRange, InvalidArgument,
-    LengthMismatch, SampleTooSmall, _bytes, _probability
+    LengthMismatch, SampleTooSmall, _bytes, _count, _probability
 )
 from .qstate import (
     Basis,
@@ -170,15 +170,23 @@ def _int_items(indices: Sequence) -> bool:
     """True when the indices can be kept as given: all ints, and no bool a secret could take.
 
     One pass, in C: a sum of ints (subclasses included) is an int, while a
-    float makes it a float, numpy integers keep their own type and a str
-    raises TypeError. A secret takes only nonnegative, strictly increasing
-    indices, where the one at position i is at least i, so a bool (0 or 1)
-    could pass it only at position 0 or 1; one further on is refused as is.
+    float makes it a float or overflows, numpy integers keep their own type
+    and a str raises TypeError. A secret takes only nonnegative, strictly
+    increasing indices, where the one at position i is at least i, so a bool
+    (0 or 1) could pass it only at position 0 or 1; one further on fails it.
     """
     try:
         return type(sum(indices)) is int and bool not in map(type, indices[:2])
-    except TypeError:
+    except (TypeError, OverflowError):  # a str or None; a float after an int past float range
         return False
+
+
+def _as_ints(indices: Iterable) -> tuple[int, ...]:
+    """indices as plain ints by errors._count's rule: a bool, float or str raises TypeError."""
+    indices = tuple(indices)
+    if bool in map(type, indices) or not _int_items(indices):  # a bool anywhere, in any order
+        indices = tuple([_count(i, "indices", what="ints") for i in indices])
+    return indices
 
 
 class WatermarkSecret(Record):
@@ -195,15 +203,18 @@ class WatermarkSecret(Record):
     def __init__(self, indices: Iterable[int], mark_basis: Basis, key: bytes | None = None) -> None:
         indices = tuple(indices)
         if not _int_items(indices):
-            indices = tuple(map(int, indices))
+            indices = _as_ints(indices)
         if key is not None:
             _bytes(key, "key")
+            key = bytes(key)  # a bytearray would stay the caller's to change
         vars(self).update(indices=indices, mark_basis=mark_basis, key=key)
         if not indices:
             raise InvalidArgument("index set must not be empty")
-        if indices[0] < 0:
-            raise IndexOutOfRange(f"indices must be nonnegative, got {indices[0]}")
-        if not all(map(operator.lt, indices, islice(indices, 1, None))):  # islice copies nothing
+        # islice copies nothing
+        if indices[0] < 0 or not all(map(operator.lt, indices, islice(indices, 1, None))):
+            _as_ints(indices)  # a bool past position 1 is refused as a bool
+            if indices[0] < 0:
+                raise IndexOutOfRange(f"indices must be nonnegative, got {indices[0]}")
             raise InvalidArgument("indices must be strictly increasing")
 
 
@@ -331,6 +342,6 @@ def classical_flip_embed(bits: str, indices: Iterable[int], pe: float, rng: Rand
     """
     _check_bitstring(bits)
     _probability(pe, "flip probability", "[]")
-    order = sorted({int(i) for i in indices})
+    order = sorted(set(_as_ints(indices)))
     _check_indices(order, len(bits))
     return _flip_bits(bits, order, pe, rng)

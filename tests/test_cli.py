@@ -355,6 +355,9 @@ MALFORMED_FLAGS = [
      "flip rate must be in [0, 1], got nan"),
     (["attack", "averaging", "--copies", "{suspect}", *AUDIT],
      "averaging needs at least two copies, got 1"),
+    (["analyze", "--pe", "abc"], "--pe must be comma-separated numbers, got 'abc'"),
+    (["analyze", "--pe", "0.5", "--null", "0.5,x"],
+     "--null must be comma-separated numbers, got '0.5,x'"),
     (["analyze", "--pe", "-0.1"], "pe must be in (0, 1), got -0.1"),
     (["analyze", "--pe", "0.5", "--power", "nan"], "power must be in (0, 1), got nan"),
     (["analyze", "--pe", "0.5", "--confidence", "0"], "confidence must be in (0, 1), got 0.0"),

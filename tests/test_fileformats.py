@@ -216,6 +216,33 @@ def test_load_secret_refuses_a_rate_dump_secret_would_not_write():
         load_secret(mutate(dump_secret(SECRET, 0.5), expected_pe=7.5))
 
 
+@given(
+    st.floats() | st.integers() | st.sampled_from([10**400, -0.0, 1, 0, True, False])
+    | st.none() | st.text(max_size=3) | st.lists(st.floats(0, 1), max_size=1)
+)
+def test_load_secret_takes_exactly_the_rates_dump_secret_writes(expected_pe):
+    try:
+        dump_secret(SECRET, expected_pe)
+    except (TypeError, ValueError):
+        written = False
+    else:
+        written = True
+    text = mutate(dump_secret(SECRET, 0.5), expected_pe=expected_pe)
+    try:
+        loaded = load_secret(text)[1]
+    except MalformedFile:
+        assert not written
+    else:
+        assert written and loaded == expected_pe and type(loaded) is float
+
+
+def test_a_float_after_an_index_past_float_range_is_a_malformed_file():
+    # the sum of such a list overflows rather than giving a float
+    text = mutate(dump_secret(SECRET, 0.5), indices=[10**400, 0.5])
+    with pytest.raises(MalformedFile, match="^secret indices must be a list of integers$"):
+        load_secret(text)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),

@@ -95,23 +95,36 @@ class TestMessageTypes:
         with pytest.raises(IndexOutOfRange):
             WatermarkSecret(indices=(-1, 2), mark_basis=MARK45)
 
-    @given(st.lists(st.integers(-2, 6) | st.floats(-2.0, 6.0) | st.booleans(), max_size=6))
-    def test_secret_accepts_what_the_per_index_loop_accepted(self, raw):
+    @given(st.lists(
+        st.integers(-2, 6) | st.integers(-2, 6).map(np.int64) | st.floats(-2.0, 6.0)
+        | st.booleans() | st.text("0123456789", max_size=2),
+        max_size=6,
+    ))
+    def test_secret_accepts_exactly_the_increasing_nonnegative_ints(self, raw):
         def reference(values):
-            indices = tuple(int(i) for i in values)
+            if any(isinstance(i, (bool, float, str)) for i in values):
+                return TypeError
+            indices = tuple(map(operator.index, values))
             if not indices or indices[0] < 0:
-                return None
+                return ValueError
             if any(b <= a for a, b in zip(indices, indices[1:])):
-                return None
+                return ValueError
             return indices
 
         try:
-            indices = WatermarkSecret(indices=raw, mark_basis=MARK45).indices
+            outcome = WatermarkSecret(indices=raw, mark_basis=MARK45).indices
+        except TypeError as exc:
+            assert "indices" in str(exc)
+            outcome = TypeError
         except ValueError:
-            indices = None
-        assert indices == reference(raw)
+            outcome = ValueError
+        assert outcome == reference(raw)
 
-    @given(spelled_indices() | st.lists(st.integers(-1, 2**70) | st.booleans(), max_size=6))
+    @given(
+        spelled_indices()
+        | st.lists(st.integers(-1, 2**70) | st.booleans(), max_size=6)
+        | st.lists(st.integers(-1, 2**62).map(np.int64), max_size=6)
+    )
     def test_secret_indices_are_the_per_index_ints(self, raw):
         def outcome(values):
             try:
@@ -119,12 +132,30 @@ class TestMessageTypes:
             except ValueError as exc:
                 return type(exc), str(exc)
 
+        if any(isinstance(i, (bool, float, str)) for i in raw):
+            with pytest.raises(TypeError, match="^indices must be ints"):
+                outcome(raw)
+            return
         got = outcome(raw)
-        assert got == outcome([int(i) for i in raw])
+        assert got == outcome([operator.index(i) for i in raw])
         if not isinstance(got[0], type):  # a secret was made
             assert all(type(i) is int for i in got)
             if all(type(i) is int for i in raw):
                 assert all(map(operator.is_, got, raw))
+
+    @pytest.mark.parametrize("indices", [
+        [0.5, 1.7], ["3"], [True, 2], [0, 1, True], [-1, 0, True], [2**1100, 0.5],
+    ])
+    def test_an_index_that_is_not_an_int_is_a_type_error(self, indices):
+        with pytest.raises(TypeError, match="^indices must be ints, got (float|str|bool)"):
+            WatermarkSecret(indices=indices, mark_basis=MARK45)
+
+    def test_a_bytearray_key_is_stored_as_bytes(self):
+        key = bytearray(range(16))
+        secret = WatermarkSecret(indices=(1, 4), mark_basis=MARK45, key=key)
+        key[0] = 255
+        assert secret.key == bytes(range(16))
+        assert type(secret.key) is bytes
 
     def test_observed_message_validates_bits(self):
         observed = ObservedMessage(bits="0101", observation_basis=WRITING)
@@ -354,6 +385,15 @@ class TestClassicalFlipEmbed:
         rng = CountingSource(8)
         classical_flip_embed("0" * 32, range(0, 32, 4), 0.5, rng)
         assert rng.calls == 8
+
+    @pytest.mark.parametrize("indices", [[2.9], ["1"], [3, 2, True], [np.float64(1.0)]])
+    def test_an_index_that_is_not_an_int_is_a_type_error(self, indices):
+        with pytest.raises(TypeError, match="^indices must be ints"):
+            classical_flip_embed("0000", indices, 1.0, RandomSource(0))
+
+    def test_numpy_integers_flip_like_ints(self):
+        out = classical_flip_embed("0000", np.array([3, 1, 1]), 1.0, RandomSource(0))
+        assert out == "0101"
 
     def test_validation(self):
         with pytest.raises(IndexOutOfRange):
