@@ -45,6 +45,15 @@ def _read_bytes(path: str) -> bytes:
 
 
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+_SLICE_CHARS = 1 << 16
+# no UTF-8 text holds this byte, and no loader reads a file that starts with it
+_UNFINISHED = b"\xff"
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:  # a write cut short by a size limit returns its count; the next one raises
+        view = view[os.write(fd, view):]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -53,23 +62,40 @@ def _write_text(path: str, text: str) -> None:
     The end state is mode "w"'s: the same inode, symlinks followed, mode bits
     kept. Truncating a large file to zero before rewriting it can stall for
     hundreds of milliseconds (ext4 mounted with discard); overwriting its
-    blocks and cutting what is left takes a few milliseconds. A write that
-    fails part way cuts a regular file to nothing before the error goes on,
-    since the new prefix over the old tail can still parse.
+    blocks and cutting what is left takes a few milliseconds. The text is
+    encoded 64 Ki characters at a time, so no encoded copy of the whole text
+    is ever held.
+
+    A regular file never holds the new prefix over the old tail where a
+    loader could read it: its first byte is written as _UNFINISHED and set
+    only once the rest is written and the tail is cut, so a process killed
+    part way leaves a file that every loader refuses. A write that fails
+    part way cuts the file to nothing before the error goes on.
     """
     if path == "-":
         sys.stdout.write(text)
         return
-    data = text.encode("utf-8")
-    with open(os.open(path, _WRITE_FLAGS, 0o666), "wb") as handle:
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        first = text[:1].encode("utf-8")[:1]
         length = 0
         try:
-            handle.write(data)
-            handle.flush()
-            length = len(data)
-        finally:
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                os.ftruncate(handle.fileno(), length)
+            for start in range(0, len(text), _SLICE_CHARS):
+                data = text[start:start + _SLICE_CHARS].encode("utf-8")
+                if regular and not start:
+                    data = _UNFINISHED + data[1:]
+                _write_all(fd, data)
+                length += len(data)
+            if regular:
+                os.ftruncate(fd, length)
+                os.pwrite(fd, first, 0)
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 def _parse(convert: type, text: str, error: str) -> int | float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import re
+from itertools import chain, islice
 
 from .carrier import bits_to_bytes, bytes_to_bits
 from .errors import MalformedFile, UnsupportedVersion, _bytes, _probability
@@ -162,16 +163,21 @@ def _base64(value: object, field: str) -> bytes:
 
 
 def dump_quantum_message(message: QuantumMessage) -> str:
-    # _dump of the whole document, byte for byte, with each palette entry
-    # encoded once and the states block joined by hand
-    lines = [f"    {json.dumps(_format_angle(state.phi, 180.0))}" for state in message.palette]
-    states = ",\n".join(map(lines.__getitem__, message.codes))
+    # _dump of the whole document, byte for byte, in one join: each palette
+    # entry is encoded once, with the separator that precedes it, and no
+    # part of the document is copied twice (the join's list of one
+    # reference per qubit is the only other allocation of its size)
+    lines = [f",\n    {json.dumps(_format_angle(state.phi, 180.0))}" for state in message.palette]
+    codes = message.codes
     theta = json.dumps(_format_angle(message.writing_basis.theta, 90.0))
-    return (
-        f'{{\n  "states": [\n{states}\n  ],\n'
-        f'  "version": {MESSAGE_FORMAT_VERSION},\n'
-        f'  "writing_basis_theta": {theta}\n}}\n'
-    )
+    return "".join(chain(
+        ('{\n  "states": [\n', lines[codes[0]][2:]),
+        map(lines.__getitem__, islice(codes, 1, None)),
+        (
+            f'\n  ],\n  "version": {MESSAGE_FORMAT_VERSION},\n'
+            f'  "writing_basis_theta": {theta}\n}}\n',
+        ),
+    ))
 
 
 # the bytes dump_quantum_message writes around the states block; the

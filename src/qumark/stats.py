@@ -145,12 +145,19 @@ def _wilson_bounds(errors: int, total: int, confidence: float) -> tuple[float, f
     from statistics import NormalDist  # here, not at the top: only this rule needs it
 
     z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
-    phat = errors / total
-    z2 = z * z
-    denom = 1.0 + z2 / total
-    centre = (phat + z2 / (2.0 * total)) / denom
-    margin = (z / denom) * math.sqrt(phat * (1.0 - phat) / total + z2 / (4.0 * total * total))
-    return max(0.0, centre - margin), min(1.0, centre + margin)
+    # z / (2 total), never total squared, which overflows past ~1.3e154
+    half = z / total / 2.0
+    denom = 1.0 + z * z / total
+
+    def lower(count: int) -> float:
+        phat = count / total
+        # hypot(0, half) is half exactly, so a count of 0 gives exactly 0
+        spread = math.hypot(math.sqrt(phat * (1.0 - phat) / total), half)
+        return max(0.0, (phat + z * half - z * spread) / denom)
+
+    # the interval maps onto itself under errors -> total - errors, so the
+    # upper bound is 1 less the lower bound of the complement: 1 at errors = total
+    return lower(errors), 1.0 - lower(total - errors)
 
 
 class _IntegerRun:

@@ -167,24 +167,19 @@ class QuantumMessage(Record):
 
 
 def _int_items(indices: Sequence) -> bool:
-    """True when the indices can be kept as given: all ints, and no bool a secret could take.
+    """True when every index is exactly an int, so the indices can be kept as given.
 
-    One pass, in C: a sum of ints (subclasses included) is an int, while a
-    float makes it a float or overflows, numpy integers keep their own type
-    and a str raises TypeError. A secret takes only nonnegative, strictly
-    increasing indices, where the one at position i is at least i, so a bool
-    (0 or 1) could pass it only at position 0 or 1; one further on fails it.
+    One pass, in C, over the items' types, with no arithmetic on their
+    values: a sum would add numpy integers in their own fixed width and warn
+    when it overflowed. A bool or another subclass of int is not exactly an int.
     """
-    try:
-        return type(sum(indices)) is int and bool not in map(type, indices[:2])
-    except (TypeError, OverflowError):  # a str or None; a float after an int past float range
-        return False
+    return operator.countOf(map(type, indices), int) == len(indices)
 
 
 def _as_ints(indices: Iterable) -> tuple[int, ...]:
     """indices as plain ints by errors._count's rule: a bool, float or str raises TypeError."""
     indices = tuple(indices)
-    if bool in map(type, indices) or not _int_items(indices):  # a bool anywhere, in any order
+    if not _int_items(indices):
         indices = tuple([_count(i, "indices", what="ints") for i in indices])
     return indices
 
@@ -201,9 +196,7 @@ class WatermarkSecret(Record):
     key: bytes | None
 
     def __init__(self, indices: Iterable[int], mark_basis: Basis, key: bytes | None = None) -> None:
-        indices = tuple(indices)
-        if not _int_items(indices):
-            indices = _as_ints(indices)
+        indices = _as_ints(indices)
         if key is not None:
             _bytes(key, "key")
             key = bytes(key)  # a bytearray would stay the caller's to change
@@ -212,7 +205,6 @@ class WatermarkSecret(Record):
             raise InvalidArgument("index set must not be empty")
         # islice copies nothing
         if indices[0] < 0 or not all(map(operator.lt, indices, islice(indices, 1, None))):
-            _as_ints(indices)  # a bool past position 1 is refused as a bool
             if indices[0] < 0:
                 raise IndexOutOfRange(f"indices must be nonnegative, got {indices[0]}")
             raise InvalidArgument("indices must be strictly increasing")

@@ -9,6 +9,7 @@ or success, 1 reject, 2 usage or format errors.
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -545,6 +546,83 @@ class TestArtifactWriter:
         assert marked.read_bytes() == b""
         with pytest.raises(MalformedFile):
             load_quantum_message(marked.read_bytes())
+
+    # multi-byte characters at both ends and across the boundary of the
+    # first two 64 Ki-character slices
+    WIDE_TEXT = "é" + "a" * ((1 << 16) - 2) + "€😀" + "ß" * 10 + "\n"
+
+    @pytest.mark.parametrize("slice_chars", [1, 3, 1 << 16])
+    def test_non_ascii_text_across_slice_boundaries_is_written_as_utf8(
+        self, tmp_path, monkeypatch, slice_chars
+    ):
+        monkeypatch.setattr(cli, "_SLICE_CHARS", slice_chars)
+        expected = self.WIDE_TEXT.encode("utf-8")
+        target = tmp_path / "out.json"
+        target.write_bytes(b"x" * 2 * len(expected))
+        cli._write_text(str(target), self.WIDE_TEXT)
+        assert target.read_bytes() == expected
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="FIFOs are POSIX-only")
+    def test_a_fifo_takes_the_stream(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        cli._write_text(str(fifo), self.WIDE_TEXT)
+        assert reader.communicate(timeout=60)[0] == self.WIDE_TEXT.encode("utf-8")
+
+    # a profile hook SIGKILLs the child at a call the writer makes: after the
+    # first and second slice reach the file, once every slice has (before the
+    # tail is cut), once the tail is cut, and once the first byte is set
+    KILL_PROBE = (
+        "import os, signal, sys; from qumark import cli; "
+        "target, event, nth = getattr(os, sys.argv[1]), sys.argv[2], int(sys.argv[3]); "
+        "seen = []\n"
+        "def profile(frame, name, arg):\n"
+        "    if name == event and arg is target:\n"
+        "        seen.append(arg)\n"
+        "        if len(seen) == nth:\n"
+        "            os.kill(os.getpid(), signal.SIGKILL)\n"
+        "sys.setprofile(profile); sys.exit(cli.main(sys.argv[4:]))"
+    )
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="SIGKILL is POSIX-only")
+    @pytest.mark.parametrize("kill_at, complete", [
+        (("write", "c_return", 1), False),
+        (("write", "c_return", 2), False),
+        (("ftruncate", "c_call", 1), False),
+        (("pwrite", "c_call", 1), False),
+        (("pwrite", "c_return", 1), True),
+    ], ids=["slice-1", "slice-2", "all-slices", "tail-cut", "first-byte-set"])
+    def test_a_killed_message_write_leaves_no_loadable_older_mix(self, tmp_path, kill_at,
+                                                                  complete):
+        def embed_args(payload, out):
+            (tmp_path / "payload.bin").write_bytes(payload)
+            secret = tmp_path / "secret.json"
+            assert cli.main(["keygen", "--message-len", str(8 * len(payload)), "--count", "256",
+                             "--seed", "7", "--out", str(secret)]) == 0
+            return ["embed", "--in", str(tmp_path / "payload.bin"), "--secret", str(secret),
+                    "--out", str(out), "--seed", "12"]
+
+        marked, fresh = tmp_path / "marked.json", tmp_path / "fresh.json"
+        assert cli.main(embed_args(bytes(range(256)) * 16, marked)) == 0
+        older = marked.read_bytes()
+        assert cli.main(embed_args(bytes(range(256)) * 8, fresh)) == 0
+        new = fresh.read_bytes()
+        assert len(older) > len(new) > 2 * (1 << 16)  # over two slices, under the older tail
+
+        args = embed_args(bytes(range(256)) * 8, marked)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", self.KILL_PROBE, *map(str, kill_at), *args],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              timeout=60)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        left = marked.read_bytes()
+        if complete:
+            assert left == new
+        else:
+            assert left[:1] == cli._UNFINISHED
+            with pytest.raises(MalformedFile):
+                load_quantum_message(left)
 
     def test_a_rerun_into_its_own_directory_is_byte_identical(self, tmp_path):
         def run(count, seeds):

@@ -375,6 +375,51 @@ class TestMessageFormat:
             load_quantum_message(mutate(text, states=["45.000000", None]))
 
 
+def f_string_dump(message):
+    """dump_quantum_message as an f-string around a joined states block: the oracle."""
+    lines = [f"    {json.dumps(fileformats._format_angle(s.phi, 180.0))}" for s in message.palette]
+    states = ",\n".join(map(lines.__getitem__, message.codes))
+    theta = json.dumps(fileformats._format_angle(message.writing_basis.theta, 90.0))
+    return (
+        f'{{\n  "states": [\n{states}\n  ],\n'
+        f'  "version": {fileformats.MESSAGE_FORMAT_VERSION},\n'
+        f'  "writing_basis_theta": {theta}\n}}\n'
+    )
+
+
+class TestMessageDump:
+    """dump_quantum_message builds the document in one join."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=256),
+        length=st.integers(1, 3) | st.integers(1 << 16, (1 << 16) + 64),
+        seed=st.integers(0, 2**32 - 1),
+        theta=st.floats(0.0, 90.0, exclude_max=True),
+    )
+    def test_equals_the_f_string_construction(self, angles, length, seed, theta):
+        rng = random.Random(seed)
+        codes = [rng.randrange(len(angles)) for _ in range(length)]
+        message = QuantumMessage(map(RebitState, angles), codes, Basis(theta))
+        text = dump_quantum_message(message)
+        assert type(text) is str
+        assert text == f_string_dump(message)
+        assert text == fileformats._dump(json.loads(text))
+
+    def test_peak_memory_stays_within_the_join(self):
+        bits = format(random.Random(7).getrandbits(1 << 19), f"0{1 << 19}b")
+        message = build_message(bits, Basis(0.0))
+        tracemalloc.start()
+        try:
+            text = dump_quantum_message(message)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result plus a list of one reference per qubit; a copy of the
+        # states block on top of the result reaches 2.0 times it
+        assert peak <= 1.6 * len(text)
+
+
 class TestObservationFormat:
     def test_round_trip(self):
         text = dump_observation(OBSERVATION)

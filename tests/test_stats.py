@@ -8,7 +8,9 @@ online oracle for randomized cross-checks.
 """
 
 import math
+import sys
 from itertools import accumulate
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -183,6 +185,25 @@ class TestWilsonInterval:
             outcome = decide(errors, total, 0.5, rule)
             assert outcome.bound_low == pytest.approx(ci.low, abs=1e-9)
             assert outcome.bound_high == pytest.approx(ci.high, abs=1e-9)
+
+    # 10**15 and 100 were rounding cases, 10**160 and 10**300 an overflow of
+    # total squared; the largest total decide takes is the last
+    @pytest.mark.parametrize("total", [
+        1, 7, 100, 1000, 10**15, 10**150, 10**160, 10**300, int(sys.float_info.max),
+    ], ids="{:.0e}".format)
+    def test_the_interval_reaches_both_ends_at_every_total(self, total):
+        rule = DecisionRule.wilson(0.99)
+        none = decide(0, total, 0.0, rule)
+        assert (none.decision, none.bound_low) == (ACCEPT, 0.0)
+        every = decide(total, total, 1.0, rule)
+        assert (every.decision, every.bound_high) == (ACCEPT, 1.0)
+        # the width at 0 errors is z**2 / total to first order
+        z = NormalDist().inv_cdf(0.995)
+        assert none.bound_high == pytest.approx(z * z / (total + z * z), rel=1e-6)
+        assert 1.0 - every.bound_low == pytest.approx(none.bound_high, rel=1e-6, abs=1e-16)
+        half = decide(total // 2, total, 0.5, rule)
+        assert half.decision == ACCEPT
+        assert half.bound_low <= (total // 2) / total <= half.bound_high
 
 
 class TestExactBinomial:

@@ -150,6 +150,18 @@ class TestMessageTypes:
         with pytest.raises(TypeError, match="^indices must be ints, got (float|str|bool)"):
             WatermarkSecret(indices=indices, mark_basis=MARK45)
 
+    @pytest.mark.parametrize("indices", [
+        np.array([2**62, 2**62 + 1]), np.array([2**63, 2**64 - 1], dtype=np.uint64),
+        list(map(type("Index", (int,), {}), [3, 2**70])),
+    ], ids=["int64", "uint64", "int-subclass"])
+    def test_indices_come_back_as_plain_ints_without_a_warning(self, indices):
+        # a sum of numpy indices in their own width overflowed with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            secret = WatermarkSecret(indices=indices, mark_basis=MARK45)
+        assert secret.indices == tuple(map(int, indices))
+        assert all(type(i) is int for i in secret.indices)
+
     def test_a_bytearray_key_is_stored_as_bytes(self):
         key = bytearray(range(16))
         secret = WatermarkSecret(indices=(1, 4), mark_basis=MARK45, key=key)
