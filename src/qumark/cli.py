@@ -98,6 +98,35 @@ def _write_text(path: str, text: str) -> None:
         os.close(fd)
 
 
+def _refuse_aliases(
+    inputs: list[tuple[str, str | None]], outputs: list[tuple[str, str | None]]
+) -> None:
+    """Refuse, before anything is written, an output that is an input or another output.
+
+    Each (flag, path) is compared by (st_dev, st_ino), so a symlink or a hard
+    link to a file counts as that file; a path that does not exist yet is
+    compared by its resolved name. '-', an omitted path and non-regular files
+    such as /dev/null or a FIFO are exempt.
+    """
+    def identity(path: str | None) -> object:
+        if path in (None, "-"):
+            return None
+        try:
+            info = os.stat(path)
+        except FileNotFoundError:
+            return os.path.realpath(path)
+        return (info.st_dev, info.st_ino) if stat.S_ISREG(info.st_mode) else None
+
+    named = {identity(path): flag for flag, path in inputs}
+    for flag, path in outputs:
+        key = identity(path)
+        if key is not None and key in named:
+            raise ValueError(
+                f"{flag} {path} names the same file as {named[key]}; nothing was written"
+            )
+        named[key] = flag
+
+
 def _parse(convert: type, text: str, error: str) -> int | float:
     """convert(text) for text that argparse does not convert, or ValueError(error)."""
     try:
@@ -148,6 +177,7 @@ def _print_report(report, rule: stats.DecisionRule) -> None:
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
+    _refuse_aliases([("--mask-from", args.mask_from)], [("--out", args.out)])
     mask = None
     length = args.message_len
     if args.mask_from is not None:
@@ -172,6 +202,12 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 def _cmd_embed(args: argparse.Namespace) -> int:
     if args.out == "-":
         raise ValueError("embed writes two artifacts and needs --out FILE")
+    root, ext = os.path.splitext(args.out)
+    reference_out = args.reference_out or f"{root}.ref{ext or '.json'}"
+    _refuse_aliases(
+        [("--in", args.infile), ("--secret", args.secret)],
+        [("--out", args.out), ("--reference-out", reference_out)],
+    )
     if args.format == "pgm":
         payload, _meta = carrier.ingest_pgm(_read_bytes(args.infile))
     else:
@@ -192,13 +228,12 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     marked = embed(message, secret, RandomSource(_seed_from(args)), strict=args.strict)
     _write_text(args.out, fileformats.dump_quantum_message(marked))
     reference = ObservedMessage(bits=payload.bits, observation_basis=writing)
-    root, ext = os.path.splitext(args.out)
-    reference_out = args.reference_out or f"{root}.ref{ext or '.json'}"
     _write_text(reference_out, fileformats.dump_observation(reference))
     return 0
 
 
 def _cmd_observe(args: argparse.Namespace) -> int:
+    _refuse_aliases([("--in", args.infile)], [("--out", args.out)])
     message = fileformats.load_quantum_message(_read_bytes(args.infile))
     basis = message.writing_basis if args.basis is None else Basis(args.basis)
     observation = observe(message, basis, RandomSource(_seed_from(args)))
@@ -233,6 +268,9 @@ def _run_attack(
     """
     if args.out == "-":
         raise ValueError("attack prints its reports on stdout and needs --out FILE")
+    copies = [("--in", args.infile)] if "infile" in args else [("--copies", c) for c in args.copies]
+    audited = [("--reference", args.reference), ("--secret", args.secret)]
+    _refuse_aliases(copies + audited, [("--out", args.out)])
     reference, secret, rule = audit
     outcome = run_attack_report(observation, reference, secret, rule, attack)
     if args.out is not None:

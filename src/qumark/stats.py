@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 from ._record import Record
@@ -299,42 +299,45 @@ def min_sample_size_literal(pe: float) -> SampleSizeSpec:
     return SampleSizeSpec(a=0, b=1) if pe == 0 else SampleSizeSpec(a=1, b=0)
 
 
+def _accepted_counts(n: int, pe: float, confidence: float, tables: _IntegerTables) -> range:
+    """The counts k that decide(k, n, pe, DecisionRule.exact_binomial(confidence)) accepts.
+
+    A count's p-value, the fsum of every mass up to its own, grows with that mass, and the
+    pmf rises to its mode and then falls, so the accepted counts are one run. A running sum
+    of m masses lies within m ulps of their fsum, so fsum is called only that close to alpha.
+    """
+    alpha = 1.0 - confidence
+    lo, pmf = _binomial_pmf_window(n, pe, tables)
+    masses = sorted(pmf)
+    sums = list(accumulate(masses))
+    slack = len(masses) * math.ulp(sums[-1])
+    near = range(bisect_right(sums, alpha - slack), bisect_right(sums, alpha + slack))
+    edge = near.start + bisect_right(near, alpha, key=lambda i: math.fsum(masses[: i + 1]))
+    least = masses[edge] if edge < len(masses) and alpha < 1.0 else math.inf  # decide caps p at 1
+    counts, peak = range(len(pmf)), pmf.index(masses[-1])
+    start = bisect_left(counts, least, 0, peak, key=lambda k: pmf[k] * (1.0 + _PMF_TIE_SLACK))
+    stop = bisect_right(counts, -least, peak, key=lambda k: -pmf[k] * (1.0 + _PMF_TIE_SLACK))
+    return range(lo + start, lo + stop)
+
+
 def _rejection_power(
-    n: int, pe: float, null_rate: float, alpha: float, tables: _IntegerTables | None = None
+    n: int, pe: float, null_rate: float, confidence: float, tables: _IntegerTables
 ) -> float:
-    """P[the exact test at level alpha rejects rate pe] when bits flip at null_rate."""
-    if tables is None:
-        tables = _IntegerTables()
-    lo0, pmf0 = _binomial_pmf_window(n, pe, tables)
-    lo1, pmf1 = _binomial_pmf_window(n, null_rate, tables)
-    hi0, hi1 = lo0 + len(pmf0), lo1 + len(pmf1)
-    # the p-value of an outcome is the running mass of the sorted masses up
-    # to its own (ties included), so the test rejects exactly the outcomes
-    # below the first sorted mass at which that running mass passes alpha;
-    # the zero masses off the window only shift that index, never the mass
-    masses = sorted(pmf0)
-    kept = bisect_right(list(accumulate(masses)), alpha)
-    threshold = masses[kept] if kept < len(masses) else math.inf
-    # select the null masses the test rejects; every outcome off the pe
-    # window has mass 0 under pe, below any threshold
-    shared_lo = max(lo0, lo1)
-    shared = pmf0[shared_lo - lo0 : max(shared_lo, min(hi0, hi1)) - lo0]
-    selectors = [True] * (min(hi1, lo0) - lo1 if lo0 > lo1 else 0)
-    selectors += map(threshold.__gt__, map(mul, shared, repeat(1.0 + _PMF_TIE_SLACK)))
-    selectors += [True] * (hi1 - max(hi0, lo1) if hi1 > hi0 else 0)
-    return math.fsum(sorted(compress(pmf1, selectors), reverse=True))
+    """P[verify's exact test at confidence rejects rate pe] when bits flip at null_rate."""
+    accepted = _accepted_counts(n, pe, confidence, tables)
+    lo, pmf = _binomial_pmf_window(n, null_rate, tables)
+    rejected = pmf[: max(accepted.start - lo, 0)] + pmf[max(accepted.stop - lo, 0) :]
+    return math.fsum(sorted(rejected, reverse=True))
 
 
 def recommended_sample_size(pe: float, null_rate: float, confidence: float, power: float) -> int:
-    """An index-set size whose exact-binomial verification tells pe from null_rate.
+    """An index-set size at which verify --rule binom:CONF tells pe from null_rate.
 
-    Returns an n at which a test of H0 "bits flip at rate pe" at the given
-    confidence rejects with probability >= power when the true flip rate is
-    null_rate (0.0 models an unwatermarked copy). n is found by bisection
-    plus a rescan of the 64 sizes below the bisected one, so it is the least
-    such n only where the power's ripples are narrower than that window; for
-    rates of 0.02 or less it can be larger. Raises Unachievable when no n up
-    to MAX_SAMPLE_SIZE suffices.
+    The power is the exact probability that verify at CONF = confidence rejects when bits
+    flip at null_rate (0.0 models an unwatermarked copy), summed over the counts decide
+    rejects. Bisection plus a rescan of the 64 sizes below gives the least n whose power
+    reaches power only where the power's ripples are narrower than that window; at rates
+    of 0.02 or less n can be larger. Raises Unachievable when no n up to MAX_SAMPLE_SIZE does.
     """
     _probability(pe, "pe", "()")
     _probability(null_rate, "null rate", "[)")
@@ -343,11 +346,10 @@ def recommended_sample_size(pe: float, null_rate: float, confidence: float, powe
     if pe == null_rate:
         raise RatesEqual("pe and null rate are identical, no sample size separates them")
 
-    alpha = 1.0 - confidence
     tables = _IntegerTables()
 
     def achieves(n: int) -> bool:
-        return _rejection_power(n, pe, null_rate, alpha, tables) >= power
+        return _rejection_power(n, pe, null_rate, confidence, tables) >= power
 
     # power climbs with n apart from small discreteness ripples: double to
     # bracket the boundary, bisect, then rescan a short window below
@@ -367,8 +369,6 @@ def recommended_sample_size(pe: float, null_rate: float, confidence: float, powe
         else:
             low = mid
     best = high
-    # bisection trusts monotonicity; the ripples are local, so checking a
-    # fixed window below the boundary recovers any smaller passing size
     for n in range(max(1, best - 64), best):
         if achieves(n):
             best = n

@@ -430,13 +430,14 @@ class TestArtifactWriter:
 
     def test_reference_written_over_the_marked_message(self, tmp_path):
         paths = run_pipeline(tmp_path)
-        both = tmp_path / "both.json"
+        earlier = tmp_path / "earlier.json"
+        earlier.write_bytes(paths["marked"].read_bytes())
         assert cli.main([
             "embed", "--in", str(paths["payload"]), "--secret", str(paths["secret"]),
-            "--out", str(both), "--reference-out", str(both), "--seed", "11",
+            "--out", str(tmp_path / "again.json"), "--reference-out", str(earlier), "--seed", "11",
         ]) == 0
         assert paths["marked"].stat().st_size > paths["reference"].stat().st_size
-        assert both.read_bytes() == paths["reference"].read_bytes()
+        assert earlier.read_bytes() == paths["reference"].read_bytes()
 
     def test_symlink_updates_its_target_and_stays_a_link(self, tmp_path):
         fresh = keygen_to(tmp_path / "fresh.json", 4)
@@ -640,6 +641,61 @@ class TestArtifactWriter:
             assert hashlib.sha256(first[name]).hexdigest() == digest, name
         assert run(6, (8, 12, 5)) != first
         assert run(4, (7, 11, 4)) == first
+
+
+EMBED = ["embed", "--in", "{payload}", "--secret", "{secret}", "--seed", "11"]
+AUDIT_FILES = ["--reference", "{reference}", "--secret", "{secret}"]
+
+# argv whose output is one of its inputs or its other output; {secret_link}
+# is a symlink to the secret and {payload_link} a hard link to the payload
+ALIASED = {
+    "keygen-mask": ["keygen", "--mask-from", "{image}", "--count", "1", "--out", "{image}"],
+    "embed-secret": [*EMBED, "--out", "{secret}"],
+    "embed-both-outputs": [*EMBED, "--out", "{marked}", "--reference-out", "{marked}"],
+    "embed-new-outputs": [*EMBED, "--out", "{new}", "--reference-out", "{new}"],
+    "embed-payload": [*EMBED, "--out", "{new}", "--reference-out", "{payload}"],
+    "embed-derived-reference": ["embed", "--in", "{reference}", "--secret", "{secret}",
+                                "--out", "{marked}"],
+    "embed-symlink": [*EMBED, "--out", "{secret_link}"],
+    "embed-hard-link": [*EMBED, "--out", "{new}", "--reference-out", "{payload_link}"],
+    "observe": ["observe", "--in", "{marked}", "--out", "{marked}", "--seed", "4"],
+    "noise": ["attack", "noise", "--in", "{suspect}", "--rate", "0.1", "--seed", "3",
+              *AUDIT_FILES, "--out", "{suspect}"],
+    "shift": ["attack", "shift", "--in", "{suspect}", "--offset", "1", *AUDIT_FILES,
+              "--out", "{secret}"],
+    "averaging": ["attack", "averaging", "--copies", "{suspect}", "{reference}", *AUDIT_FILES,
+                  "--out", "{reference}"],
+}
+
+
+@pytest.mark.parametrize("argv", ALIASED.values(), ids=ALIASED.keys())
+def test_an_output_aliasing_an_input_or_output_exits_2_and_changes_nothing(
+    argv, tmp_path, capsys
+):
+    paths = run_pipeline(tmp_path)
+    (tmp_path / "image.pgm").write_bytes(b"P5 2 1 255\n\x00\x01")
+    (tmp_path / "secret_link.json").symlink_to(paths["secret"])
+    os.link(paths["payload"], tmp_path / "payload_link.bin")
+    names = {name: str(path) for name, path in paths.items()}
+    names.update(image=str(tmp_path / "image.pgm"), new=str(tmp_path / "new.json"),
+                 secret_link=str(tmp_path / "secret_link.json"),
+                 payload_link=str(tmp_path / "payload_link.bin"))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert cli.main([token.format(**names) for token in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "names the same file as" in captured.err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_dev_null_takes_both_embed_outputs(tmp_path):
+    paths = run_pipeline(tmp_path)
+    assert cli.main([
+        "embed", "--in", str(paths["payload"]), "--secret", str(paths["secret"]),
+        "--out", os.devnull, "--reference-out", os.devnull, "--seed", "11",
+    ]) == 0
 
 
 AUDIT_COMMANDS = {

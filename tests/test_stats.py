@@ -364,52 +364,57 @@ class TestRecommendedSampleSize:
             recommended_sample_size(0.5, 0.0, 0.99, 0.0)
 
 
-def reference_rejection_power(n, pe, null_rate, alpha):
-    """Power outcome by outcome, the reference for stats._rejection_power.
-
-    Sort the masses under pe, give every outcome its p-value with two
-    pointers, and sum the null_rate mass of the outcomes with p <= alpha.
-    """
-    pmf0 = stats._binomial_pmf_row(n, pe)
-    order = sorted(range(n + 1), key=pmf0.__getitem__)
-    vals = [pmf0[k] for k in order]
-    pvals = [0.0] * (n + 1)
-    running = 0.0
-    j = 0
-    for i in range(n + 1):
-        cutoff = vals[i] * (1.0 + stats._PMF_TIE_SLACK)
-        while j <= n and vals[j] <= cutoff:
-            running += vals[j]
-            j += 1
-        pvals[order[i]] = running
-    pmf1 = stats._binomial_pmf_row(n, null_rate)
-    return math.fsum(pmf1[k] for k in range(n + 1) if pvals[k] <= alpha)
-
-
 OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 @st.composite
-def power_cases(draw):
+def exact_test_cases(draw):
     n = draw(st.integers(0, 400))
     pe = draw(st.just(0.5) | OPEN_UNIT)  # 0.5 gives a symmetric pmf: every mass tied twice
     null_rate = draw(st.floats(0.0, 1.0, exclude_max=True))
-    # alpha either anywhere, or exactly on one of the running sums the
-    # threshold search bisects, where <= and < would part ways
-    sums = list(accumulate(sorted(stats._binomial_pmf_row(n, pe))))
-    on_a_sum = st.sampled_from([v for v in sums if 0.0 < v < 1.0] or [0.5])
-    alpha = draw(OPEN_UNIT | on_a_sum)
-    return n, pe, null_rate, alpha
+    # the confidence either anywhere, or with alpha on a prefix sum of the
+    # sorted masses, running or fsum, where decide's strict p > alpha and a
+    # rounded threshold would part ways
+    masses = sorted(stats._binomial_pmf_row(n, pe))
+    sums = [*accumulate(masses), *(math.fsum(masses[:m]) for m in range(1, len(masses) + 1))]
+    on_a_sum = st.sampled_from([1.0 - v for v in sums if 0.0 < 1.0 - v < 1.0] or [0.5])
+    confidence = draw(OPEN_UNIT | on_a_sum)
+    return n, pe, null_rate, confidence
 
 
-class TestRejectionPower:
+class TestExactTestPlan:
+    """The planner's accepted counts and power are decide's verdicts, count by count."""
+
     @settings(max_examples=300, deadline=None)
-    @given(power_cases())
-    @example((100, 0.5, 0.25, 0.01))
-    @example((400, 0.5, 0.0, 0.05))
-    @example((0, 0.5, 0.0, 0.5))
-    def test_equals_the_outcome_by_outcome_reference(self, case):
-        assert stats._rejection_power(*case) == reference_rejection_power(*case)
+    @given(exact_test_cases())
+    @example((100, 0.5, 0.25, 0.99))
+    @example((400, 0.5, 0.0, 0.95))
+    @example((0, 0.5, 0.0, 0.5))  # one outcome, with p-value 1: power 0.0
+    # alpha = 0.7744140624999992, just under a running sum that fsum puts
+    # above it: decide accepts 5..7, and the power against 0.4 is 0.4955
+    @example((12, 0.5, 0.4, 0.22558593750000078))
+    def test_accepted_counts_and_power_follow_decide(self, case):
+        n, pe, null_rate, confidence = case
+        rule, alpha = DecisionRule.exact_binomial(confidence), 1.0 - confidence
+        # decide refuses a total of 0, whose one outcome has p-value 1
+        verdicts = [decide(k, n, pe, rule).accepted for k in range(n + 1)] if n else [alpha < 1.0]
+        accepted = stats._accepted_counts(n, pe, confidence, stats._IntegerTables())
+        assert verdicts == [k in accepted for k in range(n + 1)]
+        null = stats._binomial_pmf_row(n, null_rate)
+        rejected = math.fsum(mass for mass, ok in zip(null, verdicts) if not ok)
+        tables = stats._IntegerTables()
+        assert stats._rejection_power(n, pe, null_rate, confidence, tables) == rejected
+
+    @pytest.mark.parametrize("n", [596, 2408, 15002, 100_000])
+    @pytest.mark.parametrize("pe", [0.5, 0.48, 0.1])
+    @pytest.mark.parametrize("confidence", [0.99, 0.95])
+    def test_edges_at_planner_sizes(self, n, pe, confidence):
+        rule = DecisionRule.exact_binomial(confidence)
+        accepted = stats._accepted_counts(n, pe, confidence, stats._IntegerTables())
+        assert decide(accepted.start, n, pe, rule).accepted
+        assert decide(accepted.stop - 1, n, pe, rule).accepted
+        assert not decide(accepted.start - 1, n, pe, rule).accepted
+        assert not decide(accepted.stop, n, pe, rule).accepted
 
 
 def reference_pmf_row(n, p):
