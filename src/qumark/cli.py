@@ -155,10 +155,11 @@ def _parse_rule(token: str) -> stats.DecisionRule:
 
 
 def _rule_token(rule: stats.DecisionRule) -> str:
+    """The --rule token for rule, its parameter in the shortest form that reads back exactly."""
     if rule.kind == stats.FIXED_TOLERANCE:
-        return f"fixed:{rule.tolerance:g}"
+        return f"fixed:{rule.tolerance!r}"
     short = "wilson" if rule.kind == stats.WILSON_INTERVAL else "binom"
-    return f"{short}:{rule.confidence:g}"
+    return f"{short}:{rule.confidence!r}"
 
 
 def _print_report(report, rule: stats.DecisionRule) -> None:
@@ -304,7 +305,8 @@ def _cmd_attack_averaging(args: argparse.Namespace) -> int:
     recovered = ObservedMessage(
         bits=result.recovered_bits, observation_basis=copies[0].observation_basis
     )
-    suspected = f"suspected_positions: {len(result.suspected_indices)}"
+    counts = result.disagreement_counts  # suspected_indices would list ~all marks to count them
+    suspected = f"suspected_positions: {len(counts) - counts.count(0)}"
     return _run_attack(args, copies[0], audit, lambda _obs: recovered, suspected)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
@@ -212,6 +213,13 @@ class _IntegerTables:
         return run
 
 
+def _log_mass(n: int, p: float) -> Callable[[int], float]:
+    """k -> the log of the Binomial(n, p) mass at k, for 0 < p < 1, in the pmf window's order."""
+    lg, lg_n = math.lgamma, math.lgamma(n + 1)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return lambda k: lg_n - lg(k + 1) - lg(n - k + 1) + k * log_p + (n - k) * log_q
+
+
 def _binomial_pmf_window(n: int, p: float, tables: _IntegerTables) -> tuple[int, list[float]]:
     """Binomial(n, p) pmf as (lo, masses) for k = lo, lo+1, ...: every non-zero mass.
 
@@ -222,16 +230,12 @@ def _binomial_pmf_window(n: int, p: float, tables: _IntegerTables) -> tuple[int,
     """
     if p == 0.0 or p == 1.0:
         return (n if p else 0), [1.0]
-    lg = math.lgamma
-    lg_n = lg(n + 1)
+    lg_n = math.lgamma(n + 1)
     log_p, log_q = math.log(p), math.log1p(-p)
-
-    def log_mass(k: int) -> float:
-        return lg_n - lg(k + 1) - lg(n - k + 1) + k * log_p + (n - k) * log_q
-
     # the log-mass is concave in k, so each edge is one bisection away from
     # the mode, whose mass is at least 1/(n+1)
     mode = min(n, int((n + 1) * p))
+    log_mass = _log_mass(n, p)
     lo = bisect_left(range(mode), _LOG_MASS_FLOOR, key=log_mass)
     hi = bisect_right(range(n + 1), -_LOG_MASS_FLOOR, mode, key=lambda k: -log_mass(k))
     heads = tables.cover(lo + 1, hi + 1)
@@ -258,7 +262,14 @@ def _exact_binomial_p_value(errors: int, total: int, rate: float) -> float:
     more likely than the observed one. Outcomes off the window add nothing.
     fsum is correctly rounded, so summing from the largest term down (which
     keeps its partials few) changes no bit of the result.
+
+    An observed log-mass below _LOG_MASS_FLOOR returns 0.0 without building
+    the window, and exactly so: the observed mass is exp(< -800) == 0.0, on
+    the window or off it, so the cutoff is 0.0, only exact zeros pass it, and
+    their fsum is 0.0. That holds wherever roundoff puts the window's edge.
     """
+    if 0.0 < rate < 1.0 and _log_mass(total, rate)(errors) < _LOG_MASS_FLOOR:
+        return 0.0
     lo, masses = _binomial_pmf_window(total, rate, _IntegerTables())
     at = errors - lo
     observed = masses[at] if 0 <= at < len(masses) else 0.0

@@ -320,7 +320,14 @@ def verify(
             "marking basis equals the observation basis; an unmarked copy would pass"
         )
     _check_indices(secret.indices, len(suspect))
-    errors = sum(1 for i in secret.indices if suspect.bits[i] != reference.bits[i])
+    # each side's marked bits as one base-2 int, which the int-digits limit
+    # exempts; the errors are the ones of their XOR. For one index itemgetter
+    # returns the bit itself, a 1-character str that join keeps as it is.
+    pick = operator.itemgetter(*secret.indices)
+    suspect_marks, reference_marks = (
+        int("".join(pick(side.bits)), 2) for side in (suspect, reference)
+    )
+    errors = (suspect_marks ^ reference_marks).bit_count()
     total = len(secret.indices)
     pe = expected_error_probability(secret.mark_basis, suspect.observation_basis)
     return VerificationReport(errors, total, pe, stats.decide(errors, total, pe, rule))

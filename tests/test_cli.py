@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from qumark import cli
+from qumark.attacks import averaging_attack
 from qumark.errors import MalformedFile
 from qumark.fileformats import (
     dump_observation,
@@ -140,6 +141,16 @@ class TestGoldenPipeline:
         assert code == 1
         assert "errors: 0" in out
         assert "decision: reject" in out
+
+    @pytest.mark.parametrize("rule", ["binom:0.9999999", "fixed:0.1234567"])
+    def test_the_report_echoes_the_rule_it_applied(self, rule, tmp_path, capsys):
+        # unrounded: not binom:1, nor fixed:0.123457
+        paths = run_pipeline(tmp_path)
+        cli.main([
+            "verify", "--suspect", str(paths["suspect"]), "--reference", str(paths["reference"]),
+            "--secret", str(paths["secret"]), "--rule", rule,
+        ])
+        assert capsys.readouterr().out.startswith(f"rule: {rule}\n")
 
     def test_a_strict_embed_is_one_the_default_rule_tells_from_an_unmarked_copy(
         self, tmp_path, capsys
@@ -806,9 +817,8 @@ class TestAttackCommands:
         out = capsys.readouterr().out
         assert code == 1
         suspected = int(out.split("suspected_positions:")[1].split()[0])
-        # four copies expose a marked position unless all four coins agree,
-        # so about 7/8 of the 256 marks
-        assert 200 <= suspected <= 256
+        observations = [load_observation(Path(copy).read_text()) for copy in copies]
+        assert suspected == len(averaging_attack(observations).suspected_indices)
         assert "decision: reject" in out
         assert load_observation(recovered.read_text()).bits.count("1") < 256
 
@@ -855,6 +865,194 @@ class TestAttackCommands:
         ])
         assert code == 2
         capsys.readouterr()
+
+
+# Every report a seeded audit prints, line for line. The payload is 4,096 zero
+# bits with 2,048 marks; the unmarked original read through them shows 0
+# errors, a mass of 2^-2048, which lies off the exact test's pmf window, while
+# through a 256-mark secret its 0 errors lie inside the window.
+AUDIT_ARGV = {
+    "genuine": ["verify", "--suspect", "{suspect}", *AUDIT_FILES],
+    "unmarked": ["verify", "--suspect", "{reference}", *AUDIT_FILES],
+    "unmarked-256": ["verify", "--suspect", "{reference}", "--reference", "{reference}",
+                     "--secret", "{secret256}"],
+    "noise": ["attack", "noise", "--in", "{suspect}", "--rate", "0.1", "--seed", "65",
+              *AUDIT_FILES, "--out", "{out}"],
+    "shift": ["attack", "shift", "--in", "{suspect}", "--offset", "3", *AUDIT_FILES],
+    "averaging": ["attack", "averaging", "--copies", "{copy0}", "{copy1}", "{copy2}",
+                  "{copy3}", *AUDIT_FILES, "--out", "{out}"],
+}
+
+AUDIT_REPORTS = {
+    "genuine binom:0.99": (0, """\
+rule: binom:0.99
+marks: 2048
+errors: 1042
+observed_frequency: 0.508789
+expected_pe: 0.500000
+p_value: 0.439294
+decision: accept
+"""),
+    "genuine wilson:0.99": (0, """\
+rule: wilson:0.99
+marks: 2048
+errors: 1042
+observed_frequency: 0.508789
+expected_pe: 0.500000
+bound_low: 0.480352
+bound_high: 0.537169
+decision: accept
+"""),
+    "genuine fixed:0.05": (0, """\
+rule: fixed:0.05
+marks: 2048
+errors: 1042
+observed_frequency: 0.508789
+expected_pe: 0.500000
+bound_low: 0.458789
+bound_high: 0.558789
+decision: accept
+"""),
+    "unmarked binom:0.99": (1, """\
+rule: binom:0.99
+marks: 2048
+errors: 0
+observed_frequency: 0.000000
+expected_pe: 0.500000
+p_value: 0
+decision: reject
+"""),
+    "unmarked wilson:0.99": (1, """\
+rule: wilson:0.99
+marks: 2048
+errors: 0
+observed_frequency: 0.000000
+expected_pe: 0.500000
+bound_low: 0.000000
+bound_high: 0.003229
+decision: reject
+"""),
+    "unmarked fixed:0.05": (1, """\
+rule: fixed:0.05
+marks: 2048
+errors: 0
+observed_frequency: 0.000000
+expected_pe: 0.500000
+bound_low: -0.050000
+bound_high: 0.050000
+decision: reject
+"""),
+    "unmarked-256 binom:0.99": (1, """\
+rule: binom:0.99
+marks: 256
+errors: 0
+observed_frequency: 0.000000
+expected_pe: 0.500000
+p_value: 1.72723e-77
+decision: reject
+"""),
+    "unmarked-256 wilson:0.99": (1, """\
+rule: wilson:0.99
+marks: 256
+errors: 0
+observed_frequency: 0.000000
+expected_pe: 0.500000
+bound_low: 0.000000
+bound_high: 0.025263
+decision: reject
+"""),
+    "unmarked-256 fixed:0.05": (1, """\
+rule: fixed:0.05
+marks: 256
+errors: 0
+observed_frequency: 0.000000
+expected_pe: 0.500000
+bound_low: -0.050000
+bound_high: 0.050000
+decision: reject
+"""),
+    "noise": (0, """\
+== before ==
+rule: binom:0.99
+marks: 2048
+errors: 1042
+observed_frequency: 0.508789
+expected_pe: 0.500000
+p_value: 0.439294
+decision: accept
+== after ==
+rule: binom:0.99
+marks: 2048
+errors: 1023
+observed_frequency: 0.499512
+expected_pe: 0.500000
+p_value: 0.982371
+decision: accept
+"""),
+    "shift": (1, """\
+== before ==
+rule: binom:0.99
+marks: 2048
+errors: 1042
+observed_frequency: 0.508789
+expected_pe: 0.500000
+p_value: 0.439294
+decision: accept
+== after ==
+rule: binom:0.99
+marks: 2048
+errors: 529
+observed_frequency: 0.258301
+expected_pe: 0.500000
+p_value: 2.45744e-110
+decision: reject
+"""),
+    "averaging": (1, """\
+suspected_positions: 1802
+== before ==
+rule: binom:0.99
+marks: 2048
+errors: 1031
+observed_frequency: 0.503418
+expected_pe: 0.500000
+p_value: 0.77392
+decision: accept
+== after ==
+rule: binom:0.99
+marks: 2048
+errors: 658
+observed_frequency: 0.321289
+expected_pe: 0.500000
+p_value: 5.82733e-60
+decision: reject
+"""),
+}
+
+
+@pytest.fixture(scope="module")
+def audit_release(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("audit")
+    paths = run_pipeline(tmp_path, count=2048, keygen_seed=61, embed_seed=63,
+                         observe_seed=64, payload=bytes(512))
+    paths["secret256"] = tmp_path / "secret256.json"
+    assert cli.main(["keygen", "--message-len", "4096", "--count", "256", "--seed", "62",
+                     "--out", str(paths["secret256"])]) == 0
+    for i in range(4):
+        paths[f"copy{i}"] = tmp_path / f"copy{i}.json"
+        assert cli.main(["observe", "--in", str(paths["marked"]),
+                         "--out", str(paths[f"copy{i}"]), "--seed", str(70 + i)]) == 0
+    paths["out"] = tmp_path / "attacked.json"
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("name", AUDIT_REPORTS)
+def test_audit_reports_are_pinned_line_for_line(name, audit_release, capsys):
+    copy, _, rule = name.partition(" ")
+    argv = [token.format(**audit_release) for token in AUDIT_ARGV[copy]]
+    code = cli.main(argv + (["--rule", rule] if rule else []))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == AUDIT_REPORTS[name]
+    assert captured.err == ""
 
 
 class TestAnalyze:

@@ -468,6 +468,23 @@ class TestPmfWindow:
             errors, total, rate
         )
 
+    @pytest.mark.parametrize("n, p", [
+        (2000, 0.5), (3000, 0.3), (15002, 0.48), (100_000, 0.5), (100_000, 0.1),
+    ])
+    def test_p_value_at_the_window_edges_equals_the_full_row(self, n, p):
+        # a count whose log-mass is below the floor skips the window; these are
+        # the counts on either side of each edge, where that test changes answer
+        lo, masses = stats._binomial_pmf_window(n, p, stats._IntegerTables())
+        hi = lo + len(masses)
+        log_mass = stats._log_mass(n, p)
+        assert 0 < lo and hi <= n
+        assert max(log_mass(lo - 1), log_mass(hi)) < stats._LOG_MASS_FLOOR
+        # lo is on the window, yet exp() of its log-mass in [-800, -745) is
+        # 0.0, so its p-value is the window's sum of exact zeros
+        assert -800.0 <= log_mass(lo) < -745.0 and masses[0] == 0.0
+        for k in (lo - 1, lo, hi - 1, hi):
+            assert stats._exact_binomial_p_value(k, n, p) == reference_p_value(k, n, p), k
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2000), UNIT), min_size=1, max_size=6))
     @example([(2000, 0.5), (100, 0.3)])  # grows the table downward

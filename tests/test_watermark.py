@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -415,7 +415,35 @@ class TestClassicalFlipEmbed:
             classical_flip_embed("0000", [0], 1.5, RandomSource(0))
 
 
+@st.composite
+def audited_pairs(draw):
+    """A suspect and a reference of 1 to 3,000 bits, and an index set over them."""
+    n = draw(st.integers(1, 3000))
+    suspect, reference = (format(draw(st.integers(0, 2**n - 1)), f"0{n}b") for _ in range(2))
+    indices = set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    indices.update(draw(st.sets(st.sampled_from((0, n - 1)))))  # often an end of the bits
+    return suspect, reference, tuple(sorted(indices))
+
+
+def reference_error_count(suspect, reference, indices):
+    return sum(1 for i in indices if suspect[i] != reference[i])
+
+
 class TestVerify:
+    @settings(max_examples=200, deadline=None)
+    @given(audited_pairs())
+    @example(("1", "0", (0,)))  # one index: itemgetter gives one character, not a tuple
+    @example(("0110", "0100", (2,)))
+    @example(("10" * 1500, "01" * 1500, (0, 2999)))
+    @example(("1" * 3000, "0" * 3000, tuple(range(3000))))
+    def test_error_count_equals_the_per_index_count(self, audit):
+        suspect, reference, indices = audit
+        secret = WatermarkSecret(indices=indices, mark_basis=MARK45)
+        report = verify(ObservedMessage(suspect, WRITING), ObservedMessage(reference, WRITING),
+                        secret, DecisionRule.fixed(0.25))
+        assert report.error_count == reference_error_count(suspect, reference, indices)
+        assert report.sample_size == len(indices)
+
     def test_two_flips_among_four_marks_accepts(self):
         secret = WatermarkSecret(indices=(0, 1, 2, 3), mark_basis=MARK45)
         reference = ObservedMessage(bits="0000", observation_basis=WRITING)
