@@ -8,6 +8,7 @@ frequency, a Wilson score interval, and a two-sided exact binomial test.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -161,56 +162,42 @@ def _wilson_bounds(errors: int, total: int, confidence: float) -> tuple[float, f
     return lower(errors), 1.0 - lower(total - errors)
 
 
-class _IntegerRun:
-    """lgamma(x) and float(x - 1) over one run of consecutive integers x >= 1, grown on demand."""
+# lgamma is cached per block of this many consecutive integers. On 2 vCPUs under
+# Python 3.11.7 a cold verdict at n = 1,024 computes two whole blocks in 0.45 ms,
+# where 256-integer blocks take 0.37 ms; the analyze table takes ~192 ms with blocks
+# of 256 to 2,048; and at 1,024 the cache below holds both ends of a window of
+# n = 10**7 at rate 0.01
+_BLOCK = 1024
 
-    def __init__(self) -> None:
-        self.first = self.stop = 1
-        self.lgammas: list[float] = []
-        self.counts: list[float] = []
-
-    def growth(self, first: int, stop: int) -> int:
-        """How many entries cover(first, stop) would add."""
-        if not self.lgammas:
-            return stop - first
-        return max(self.first - first, 0) + max(stop - self.stop, 0)
-
-    def cover(self, first: int, stop: int) -> None:
-        """Grow the run to include range(first, stop)."""
-        if not self.lgammas:
-            self.first = self.stop = first
-        if first < self.first:
-            grown = range(first, self.first)
-            self.lgammas[:0] = map(math.lgamma, grown)
-            self.counts[:0] = map(float, range(first - 1, self.first - 1))
-            self.first = first
-        if stop > self.stop:
-            grown = range(self.stop, stop)
-            self.lgammas += map(math.lgamma, grown)
-            self.counts += map(float, range(self.stop - 1, stop - 1))
-            self.stop = stop
+# the cache retains at most this many blocks: 64 * 2 lists * 1,024 floats * 32 B,
+# 4.1 MiB as measured, where one run spanning the row of n = 10**7 would take ~300 MiB
+_CACHED_BLOCKS = 64
 
 
-class _IntegerTables:
-    """The integers a pmf window reads, in two runs.
+@functools.lru_cache(maxsize=_CACHED_BLOCKS)
+def _factorial_block(b: int) -> tuple[list[float], list[float]]:
+    """lgamma(j + 1) and float(j) for the _BLOCK integers j from b * _BLOCK on."""
+    js = range(b * _BLOCK, (b + 1) * _BLOCK)
+    return list(map(math.lgamma, range(js.start + 1, js.stop + 1))), list(map(float, js))
 
-    A window needs lgamma at k+1 and n-k+1 and the factors k and n-k as
-    floats (int * float multiplies by exactly that float). Each of the two
-    ranges goes into the run that grows least to cover it: near rate 1/2
-    they share one run, while far from it they lie at opposite ends of the
-    row, which one run would have to span. Runs grow on demand, so one
-    instance serves both rows of a power probe, and recommended_sample_size
-    keeps one across its probes, whose windows overlap.
+
+def _factorial_terms(start: int, stop: int) -> tuple[list[float], list[float]]:
+    """lgamma(j + 1) and float(j) for j in range(start, stop), start < stop, as new lists.
+
+    A pmf window needs both at k and at n - k (int * float multiplies by
+    exactly that float). The blocks the range touches are joined into copies,
+    so no caller holds a cached list.
     """
-
-    def __init__(self) -> None:
-        self.runs = (_IntegerRun(), _IntegerRun())
-
-    def cover(self, first: int, stop: int) -> _IntegerRun:
-        """The run grown to include range(first, stop), of the two the one that grew least."""
-        run = min(self.runs, key=lambda run: run.growth(first, stop))
-        run.cover(first, stop)
-        return run
+    first = start // _BLOCK
+    lgammas, counts = (
+        column[start - first * _BLOCK : stop - first * _BLOCK] for column in _factorial_block(first)
+    )
+    for b in range(first + 1, (stop - 1) // _BLOCK + 1):
+        block_lgammas, block_counts = _factorial_block(b)
+        lgammas += block_lgammas
+        counts += block_counts
+    del lgammas[stop - start :], counts[stop - start :]
+    return lgammas, counts
 
 
 def _log_mass(n: int, p: float) -> Callable[[int], float]:
@@ -220,7 +207,7 @@ def _log_mass(n: int, p: float) -> Callable[[int], float]:
     return lambda k: lg_n - lg(k + 1) - lg(n - k + 1) + k * log_p + (n - k) * log_q
 
 
-def _binomial_pmf_window(n: int, p: float, tables: _IntegerTables) -> tuple[int, list[float]]:
+def _binomial_pmf_window(n: int, p: float) -> tuple[int, list[float]]:
     """Binomial(n, p) pmf as (lo, masses) for k = lo, lo+1, ...: every non-zero mass.
 
     Each mass is exp(lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) + k*log p +
@@ -238,20 +225,18 @@ def _binomial_pmf_window(n: int, p: float, tables: _IntegerTables) -> tuple[int,
     log_mass = _log_mass(n, p)
     lo = bisect_left(range(mode), _LOG_MASS_FLOOR, key=log_mass)
     hi = bisect_right(range(n + 1), -_LOG_MASS_FLOOR, mode, key=lambda k: -log_mass(k))
-    heads = tables.cover(lo + 1, hi + 1)
-    tails = tables.cover(n - hi + 2, n - lo + 2)
-    k = slice(lo + 1 - heads.first, hi + 1 - heads.first)
-    rest = slice(n - hi + 2 - tails.first, n - lo + 2 - tails.first)  # n-k+1, in reverse
-    logs = map(sub, repeat(lg_n), heads.lgammas[k])
-    logs = map(sub, logs, tails.lgammas[rest][::-1])
-    logs = map(add, logs, map(mul, heads.counts[k], repeat(log_p)))
-    logs = map(add, logs, map(mul, tails.counts[rest][::-1], repeat(log_q)))
+    lgammas, counts = _factorial_terms(lo, hi)
+    rest_lgammas, rest_counts = _factorial_terms(n - hi + 1, n - lo + 1)  # at n - k, in reverse
+    logs = map(sub, repeat(lg_n), lgammas)
+    logs = map(sub, logs, reversed(rest_lgammas))
+    logs = map(add, logs, map(mul, counts, repeat(log_p)))
+    logs = map(add, logs, map(mul, reversed(rest_counts), repeat(log_q)))
     return lo, list(map(math.exp, logs))
 
 
 def _binomial_pmf_row(n: int, p: float) -> list[float]:
     """Binomial(n, p) pmf for k = 0..n: the window, padded with its exact zeros."""
-    lo, masses = _binomial_pmf_window(n, p, _IntegerTables())
+    lo, masses = _binomial_pmf_window(n, p)
     return [0.0] * lo + masses + [0.0] * (n + 1 - lo - len(masses))
 
 
@@ -270,7 +255,7 @@ def _exact_binomial_p_value(errors: int, total: int, rate: float) -> float:
     """
     if 0.0 < rate < 1.0 and _log_mass(total, rate)(errors) < _LOG_MASS_FLOOR:
         return 0.0
-    lo, masses = _binomial_pmf_window(total, rate, _IntegerTables())
+    lo, masses = _binomial_pmf_window(total, rate)
     at = errors - lo
     observed = masses[at] if 0 <= at < len(masses) else 0.0
     cutoff = observed * (1.0 + _PMF_TIE_SLACK)
@@ -310,7 +295,7 @@ def min_sample_size_literal(pe: float) -> SampleSizeSpec:
     return SampleSizeSpec(a=0, b=1) if pe == 0 else SampleSizeSpec(a=1, b=0)
 
 
-def _accepted_counts(n: int, pe: float, confidence: float, tables: _IntegerTables) -> range:
+def _accepted_counts(n: int, pe: float, confidence: float) -> range:
     """The counts k that decide(k, n, pe, DecisionRule.exact_binomial(confidence)) accepts.
 
     A count's p-value, the fsum of every mass up to its own, grows with that mass, and the
@@ -318,7 +303,7 @@ def _accepted_counts(n: int, pe: float, confidence: float, tables: _IntegerTable
     of m masses lies within m ulps of their fsum, so fsum is called only that close to alpha.
     """
     alpha = 1.0 - confidence
-    lo, pmf = _binomial_pmf_window(n, pe, tables)
+    lo, pmf = _binomial_pmf_window(n, pe)
     masses = sorted(pmf)
     sums = list(accumulate(masses))
     slack = len(masses) * math.ulp(sums[-1])
@@ -331,12 +316,10 @@ def _accepted_counts(n: int, pe: float, confidence: float, tables: _IntegerTable
     return range(lo + start, lo + stop)
 
 
-def _rejection_power(
-    n: int, pe: float, null_rate: float, confidence: float, tables: _IntegerTables
-) -> float:
+def _rejection_power(n: int, pe: float, null_rate: float, confidence: float) -> float:
     """P[verify's exact test at confidence rejects rate pe] when bits flip at null_rate."""
-    accepted = _accepted_counts(n, pe, confidence, tables)
-    lo, pmf = _binomial_pmf_window(n, null_rate, tables)
+    accepted = _accepted_counts(n, pe, confidence)
+    lo, pmf = _binomial_pmf_window(n, null_rate)
     rejected = pmf[: max(accepted.start - lo, 0)] + pmf[max(accepted.stop - lo, 0) :]
     return math.fsum(sorted(rejected, reverse=True))
 
@@ -357,10 +340,8 @@ def recommended_sample_size(pe: float, null_rate: float, confidence: float, powe
     if pe == null_rate:
         raise RatesEqual("pe and null rate are identical, no sample size separates them")
 
-    tables = _IntegerTables()
-
     def achieves(n: int) -> bool:
-        return _rejection_power(n, pe, null_rate, confidence, tables) >= power
+        return _rejection_power(n, pe, null_rate, confidence) >= power
 
     # power climbs with n apart from small discreteness ripples: double to
     # bracket the boundary, bisect, then rescan a short window below

@@ -277,7 +277,7 @@ def embed(
     if stats.decide(0, n, pe, rule).accepted:  # 0 errors: what an unmarked copy shows
         text = (f"{n} marked positions at flip rate {pe:.4g}: the default rule, {rule.kind}"
                 f" at confidence {rule.confidence:g}, would accept an unmarked copy;"
-                f" run qumark analyze --pe {pe:.4g} to size the index set")
+                f" run qumark analyze --pe {pe:.12g} to size the index set")
         if strict:
             raise SampleTooSmall(text)
         warnings.warn(text, SmallSampleWarning, stacklevel=2)

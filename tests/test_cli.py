@@ -26,7 +26,7 @@ from qumark.fileformats import (
     load_secret,
 )
 from qumark.qstate import Basis
-from qumark.stats import DecisionRule
+from qumark.stats import DecisionRule, recommended_sample_size
 from qumark.watermark import ObservedMessage, verify
 
 PAYLOAD = b"\x65"  # bits 01100101
@@ -343,6 +343,32 @@ class TestErrorExits:
             " at confidence 0.99, would accept an unmarked copy;"
             " run qumark analyze --pe 0.5 to size the index set\n"
         )
+
+    # at 1 and 6.5 degrees the rate rounded to 4 digits, 0.0003046 and 0.01281,
+    # plans 17364 and 414 marks where the exact rate plans 17365 and 413
+    @pytest.mark.parametrize("mark_basis, pe_text, size", [
+        ("1", "0.000304586490452", 17365), ("6.5", "0.0128149676074", 413),
+    ])
+    @pytest.mark.filterwarnings("always::qumark.watermark.SmallSampleWarning")
+    def test_the_warning_names_the_rate_embed_checked(
+        self, mark_basis, pe_text, size, tmp_path, capsys
+    ):
+        secret, marked = tmp_path / "secret.json", tmp_path / "marked.json"
+        (tmp_path / "payload.bin").write_bytes(PAYLOAD)
+        assert cli.main([
+            "keygen", "--message-len", str(8 * len(PAYLOAD)), "--count", "4",
+            "--mark-basis", mark_basis, "--seed", "7", "--out", str(secret),
+        ]) == 0
+        assert cli.main([
+            "embed", "--in", str(tmp_path / "payload.bin"), "--secret", str(secret),
+            "--out", str(marked), "--seed", "11",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert err.endswith(f" run qumark analyze --pe {pe_text} to size the index set\n")
+        pe = json.loads(secret.read_text())["expected_pe"]
+        assert recommended_sample_size(pe, 0.0, 0.99, 0.99) == size
+        assert cli.main(["analyze", "--pe", pe_text]) == 0
+        assert capsys.readouterr().out.split()[-1] == str(size)
 
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,6 +9,7 @@ online oracle for randomized cross-checks.
 
 import math
 import sys
+import tracemalloc
 from itertools import accumulate
 from statistics import NormalDist
 
@@ -398,19 +399,18 @@ class TestExactTestPlan:
         rule, alpha = DecisionRule.exact_binomial(confidence), 1.0 - confidence
         # decide refuses a total of 0, whose one outcome has p-value 1
         verdicts = [decide(k, n, pe, rule).accepted for k in range(n + 1)] if n else [alpha < 1.0]
-        accepted = stats._accepted_counts(n, pe, confidence, stats._IntegerTables())
+        accepted = stats._accepted_counts(n, pe, confidence)
         assert verdicts == [k in accepted for k in range(n + 1)]
         null = stats._binomial_pmf_row(n, null_rate)
         rejected = math.fsum(mass for mass, ok in zip(null, verdicts) if not ok)
-        tables = stats._IntegerTables()
-        assert stats._rejection_power(n, pe, null_rate, confidence, tables) == rejected
+        assert stats._rejection_power(n, pe, null_rate, confidence) == rejected
 
     @pytest.mark.parametrize("n", [596, 2408, 15002, 100_000])
     @pytest.mark.parametrize("pe", [0.5, 0.48, 0.1])
     @pytest.mark.parametrize("confidence", [0.99, 0.95])
     def test_edges_at_planner_sizes(self, n, pe, confidence):
         rule = DecisionRule.exact_binomial(confidence)
-        accepted = stats._accepted_counts(n, pe, confidence, stats._IntegerTables())
+        accepted = stats._accepted_counts(n, pe, confidence)
         assert decide(accepted.start, n, pe, rule).accepted
         assert decide(accepted.stop - 1, n, pe, rule).accepted
         assert not decide(accepted.start - 1, n, pe, rule).accepted
@@ -438,6 +438,16 @@ def reference_p_value(errors, total, rate):
     pmf = reference_pmf_row(total, rate)
     cutoff = pmf[errors] * (1.0 + stats._PMF_TIE_SLACK)
     return min(1.0, math.fsum(v for v in pmf if v <= cutoff))
+
+
+def cold_and_warm_windows(rows):
+    """Each row's pmf window from an emptied lgamma cache, then all of them in turn from one."""
+    cold = []
+    for n, p in rows:
+        stats._factorial_block.cache_clear()
+        cold.append(stats._binomial_pmf_window(n, p))
+    stats._factorial_block.cache_clear()
+    return cold, [stats._binomial_pmf_window(n, p) for n, p in rows]
 
 
 UNIT = st.floats(0.0, 1.0)
@@ -474,7 +484,7 @@ class TestPmfWindow:
     def test_p_value_at_the_window_edges_equals_the_full_row(self, n, p):
         # a count whose log-mass is below the floor skips the window; these are
         # the counts on either side of each edge, where that test changes answer
-        lo, masses = stats._binomial_pmf_window(n, p, stats._IntegerTables())
+        lo, masses = stats._binomial_pmf_window(n, p)
         hi = lo + len(masses)
         log_mass = stats._log_mass(n, p)
         assert 0 < lo and hi <= n
@@ -486,22 +496,54 @@ class TestPmfWindow:
             assert stats._exact_binomial_p_value(k, n, p) == reference_p_value(k, n, p), k
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 2000), UNIT), min_size=1, max_size=6))
-    @example([(2000, 0.5), (100, 0.3)])  # grows the table downward
-    @example([(100, 0.3), (2000, 0.5)])  # and upward
-    def test_one_table_across_rows_changes_no_bit(self, rows):
-        # recommended_sample_size keeps one lgamma table across its probes;
-        # the table grows in both directions as rows of other sizes arrive
-        tables = stats._IntegerTables()
-        for n, p in rows:
-            fresh = stats._binomial_pmf_window(n, p, stats._IntegerTables())
-            assert stats._binomial_pmf_window(n, p, tables) == fresh
+    @given(st.lists(st.tuples(st.integers(0, 5000), UNIT), min_size=1, max_size=6))
+    @example([(2000, 0.5), (100, 0.3)])
+    @example([(100, 0.3), (2000, 0.5)])
+    # reads that end exactly at the first block's edge, one past it, and one
+    # read at each end of a row
+    @example([(stats._BLOCK - 1, 0.5), (stats._BLOCK, 0.5), (3 * stats._BLOCK, 0.999)])
+    def test_warm_windows_equal_cold_ones(self, rows):
+        cold, warm = cold_and_warm_windows(rows)
+        assert warm == cold
+
+    def test_rows_past_the_cache_bound_change_no_bit(self):
+        # the rows need more blocks than the cache holds, so the last row
+        # recomputes blocks the first one read, which were evicted
+        cold, warm = cold_and_warm_windows([(200_000, p) for p in (0.5, 0.1, 0.3, 0.7, 0.9, 0.5)])
+        info = stats._factorial_block.cache_info()
+        assert info.misses > info.maxsize == stats._CACHED_BLOCKS
+        assert warm == cold
+
+    def test_a_caller_mutating_what_it_got_changes_no_later_window(self):
+        stats._factorial_block.cache_clear()
+        n, p = 3 * stats._BLOCK, 0.3
+        lo, masses = stats._binomial_pmf_window(n, p)
+        expected = (lo, reference_pmf_row(n, p)[lo : lo + len(masses)])
+        assert (lo, masses) == expected
+        masses[:] = [2.0] * len(masses)
+        # one whole block and a read across two: each is a copy, not a cached list
+        for start, stop in [(0, stats._BLOCK), (stats._BLOCK - 5, stats._BLOCK + 5)]:
+            for column in stats._factorial_terms(start, stop):
+                column[:] = [-1.0] * len(column)
+        assert stats._binomial_pmf_window(n, p) == expected
+
+    def test_a_far_window_reads_only_the_blocks_at_each_end(self):
+        # a window far from rate 1/2 lies at both ends of its row; a run that
+        # spanned the row would hold 10**7 floats, about 300 MiB
+        stats._factorial_block.cache_clear()
+        tracemalloc.start()
+        try:
+            decide(100_000, 10**7, 0.01, DecisionRule.exact_binomial(0.99))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize("n", [15002, 100_000])
     @pytest.mark.parametrize("p", [0.5, 0.48, 1e-9])
     def test_pinned_large_rows(self, n, p):
         row = stats._binomial_pmf_row(n, p)
         assert row == reference_pmf_row(n, p)
-        lo, masses = stats._binomial_pmf_window(n, p, stats._IntegerTables())
+        lo, masses = stats._binomial_pmf_window(n, p)
         assert any(masses) and row[:lo] == [0.0] * lo
         assert row[lo + len(masses):] == [0.0] * (n + 1 - lo - len(masses))
