@@ -44,7 +44,7 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT
 _SLICE_CHARS = 1 << 16
 # no UTF-8 text holds this byte, and no loader reads a file that starts with it
 _UNFINISHED = b"\xff"
@@ -260,18 +260,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _run_attack(
-    args: argparse.Namespace, observation: ObservedMessage, audit, attack, *lines: str
+    args: argparse.Namespace, inputs: list, observation: ObservedMessage, audit, attack, *lines: str
 ) -> int:
     """Verify before and after the attack, save the attacked copy, exit by the after verdict.
 
+    --out may name none of inputs, the (flag, path) of each attacked copy.
     lines, then the two reports, are printed only once the attack and both
     verifications have succeeded, so a failure leaves stdout empty.
     """
     if args.out == "-":
         raise ValueError("attack prints its reports on stdout and needs --out FILE")
-    copies = [("--in", args.infile)] if "infile" in args else [("--copies", c) for c in args.copies]
     audited = [("--reference", args.reference), ("--secret", args.secret)]
-    _refuse_aliases(copies + audited, [("--out", args.out)])
+    _refuse_aliases(inputs + audited, [("--out", args.out)])
     reference, secret, rule = audit
     outcome = run_attack_report(observation, reference, secret, rule, attack)
     if args.out is not None:
@@ -289,13 +289,15 @@ def _cmd_attack_noise(args: argparse.Namespace) -> int:
     original = fileformats.load_observation(_read_bytes(args.infile))
     audit = _load_audit(args)
     rng = RandomSource(_seed_from(args))
-    return _run_attack(args, original, audit, lambda obs: noise_attack(obs, args.rate, rng))
+    attack = lambda obs: noise_attack(obs, args.rate, rng)
+    return _run_attack(args, [("--in", args.infile)], original, audit, attack)
 
 
 def _cmd_attack_shift(args: argparse.Namespace) -> int:
     original = fileformats.load_observation(_read_bytes(args.infile))
     audit = _load_audit(args)
-    return _run_attack(args, original, audit, lambda obs: shift_attack(obs, args.offset, args.pad))
+    attack = lambda obs: shift_attack(obs, args.offset, args.pad)
+    return _run_attack(args, [("--in", args.infile)], original, audit, attack)
 
 
 def _cmd_attack_averaging(args: argparse.Namespace) -> int:
@@ -307,7 +309,8 @@ def _cmd_attack_averaging(args: argparse.Namespace) -> int:
     )
     counts = result.disagreement_counts  # suspected_indices would list ~all marks to count them
     suspected = f"suspected_positions: {len(counts) - counts.count(0)}"
-    return _run_attack(args, copies[0], audit, lambda _obs: recovered, suspected)
+    inputs = [("--copies", path) for path in args.copies]
+    return _run_attack(args, inputs, copies[0], audit, lambda _obs: recovered, suspected)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -425,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated expected flip rates, e.g. 0.5,0.25")
     analyze.add_argument("--null", default="0.0",
                          help="comma-separated null flip rates (default 0.0, an unmarked copy)")
-    analyze.add_argument("--confidence", type=float, default=0.99)
+    analyze.add_argument("--confidence", type=float, default=stats.DEFAULT_RULE.confidence)
     analyze.add_argument("--power", type=float, default=0.99)
     analyze.set_defaults(handler=_cmd_analyze)
 

@@ -289,8 +289,4 @@ def load_observation(text: str | bytes) -> ObservedMessage:
     bits = bytes_to_bits(packed)
     if "1" in bits[bit_length:]:
         raise MalformedFile("observation padding bits must be zero")
-    bits = bits[:bit_length]
-    try:
-        return ObservedMessage(bits=bits, observation_basis=Basis(theta))
-    except ValueError as exc:
-        raise MalformedFile(f"observation file holds an invalid observation: {exc}") from None
+    return ObservedMessage(bits=bits[:bit_length], observation_basis=Basis(theta))

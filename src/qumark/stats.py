@@ -181,23 +181,28 @@ def _factorial_block(b: int) -> tuple[list[float], list[float]]:
     return list(map(math.lgamma, range(js.start + 1, js.stop + 1))), list(map(float, js))
 
 
-def _factorial_terms(start: int, stop: int) -> tuple[list[float], list[float]]:
-    """lgamma(j + 1) and float(j) for j in range(start, stop), start < stop, as new lists.
+def _factorial_terms(*spans: range) -> list[tuple[list[float], list[float]]]:
+    """lgamma(j + 1) and float(j) for the j of each nonempty span, as new lists.
 
     A pmf window needs both at k and at n - k (int * float multiplies by
-    exactly that float). The blocks the range touches are joined into copies,
-    so no caller holds a cached list.
+    exactly that float). Each block the spans touch is fetched once: near
+    rate 1/2 both spans cover the same blocks in the same order, so in a
+    window wider than the cache a second pass would find every block evicted.
+    The blocks are joined into copies, so no caller holds a cached list.
     """
-    first = start // _BLOCK
-    lgammas, counts = (
-        column[start - first * _BLOCK : stop - first * _BLOCK] for column in _factorial_block(first)
-    )
-    for b in range(first + 1, (stop - 1) // _BLOCK + 1):
-        block_lgammas, block_counts = _factorial_block(b)
-        lgammas += block_lgammas
-        counts += block_counts
-    del lgammas[stop - start :], counts[stop - start :]
-    return lgammas, counts
+    touched = [range(span.start // _BLOCK, (span.stop - 1) // _BLOCK + 1) for span in spans]
+    blocks = {b: _factorial_block(b) for b in sorted(set().union(*touched))}
+    terms = []
+    for span, numbers in zip(spans, touched):
+        offset = span.start - numbers.start * _BLOCK
+        lgammas, counts = (column[offset : offset + len(span)] for column in blocks[numbers.start])
+        for b in numbers[1:]:
+            block_lgammas, block_counts = blocks[b]
+            lgammas += block_lgammas
+            counts += block_counts
+        del lgammas[len(span) :], counts[len(span) :]
+        terms.append((lgammas, counts))
+    return terms
 
 
 def _log_mass(n: int, p: float) -> Callable[[int], float]:
@@ -225,8 +230,8 @@ def _binomial_pmf_window(n: int, p: float) -> tuple[int, list[float]]:
     log_mass = _log_mass(n, p)
     lo = bisect_left(range(mode), _LOG_MASS_FLOOR, key=log_mass)
     hi = bisect_right(range(n + 1), -_LOG_MASS_FLOOR, mode, key=lambda k: -log_mass(k))
-    lgammas, counts = _factorial_terms(lo, hi)
-    rest_lgammas, rest_counts = _factorial_terms(n - hi + 1, n - lo + 1)  # at n - k, in reverse
+    spans = range(lo, hi), range(n - hi + 1, n - lo + 1)  # the second at n - k, in reverse
+    (lgammas, counts), (rest_lgammas, rest_counts) = _factorial_terms(*spans)
     logs = map(sub, repeat(lg_n), lgammas)
     logs = map(sub, logs, reversed(rest_lgammas))
     logs = map(add, logs, map(mul, counts, repeat(log_p)))
@@ -270,18 +275,15 @@ def decide(errors: int, total: int, expected_pe: float, rule: DecisionRule) -> D
     statistic = relative_frequency(errors, total)
     _probability(expected_pe, "expected rate", "[]")
     if rule.kind == FIXED_TOLERANCE:
-        low = statistic - rule.tolerance
-        high = statistic + rule.tolerance
-        decision = ACCEPT if low <= expected_pe <= high else REJECT
-        return DecisionOutcome(decision, statistic, bound_low=low, bound_high=high)
-    if rule.kind == WILSON_INTERVAL:
+        low, high = statistic - rule.tolerance, statistic + rule.tolerance
+    elif rule.kind == WILSON_INTERVAL:
         low, high = _wilson_bounds(errors, total, rule.confidence)
-        decision = ACCEPT if low <= expected_pe <= high else REJECT
-        return DecisionOutcome(decision, statistic, bound_low=low, bound_high=high)
-    p_value = _exact_binomial_p_value(errors, total, expected_pe)
-    alpha = 1.0 - rule.confidence
-    decision = ACCEPT if p_value > alpha else REJECT
-    return DecisionOutcome(decision, statistic, p_value=p_value)
+    else:
+        p_value = _exact_binomial_p_value(errors, total, expected_pe)
+        decision = ACCEPT if p_value > 1.0 - rule.confidence else REJECT
+        return DecisionOutcome(decision, statistic, p_value=p_value)
+    decision = ACCEPT if low <= expected_pe <= high else REJECT
+    return DecisionOutcome(decision, statistic, bound_low=low, bound_high=high)
 
 
 def min_sample_size_literal(pe: float) -> SampleSizeSpec:

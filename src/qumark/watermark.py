@@ -203,10 +203,10 @@ class WatermarkSecret(Record):
         vars(self).update(indices=indices, mark_basis=mark_basis, key=key)
         if not indices:
             raise InvalidArgument("index set must not be empty")
+        if indices[0] < 0:
+            raise IndexOutOfRange(f"indices must be nonnegative, got {indices[0]}")
         # islice copies nothing
-        if indices[0] < 0 or not all(map(operator.lt, indices, islice(indices, 1, None))):
-            if indices[0] < 0:
-                raise IndexOutOfRange(f"indices must be nonnegative, got {indices[0]}")
+        if not all(map(operator.lt, indices, islice(indices, 1, None))):
             raise InvalidArgument("indices must be strictly increasing")
 
 

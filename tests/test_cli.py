@@ -407,6 +407,8 @@ MALFORMED_FLAGS = [
      "rule parameter must be a number, got 'binom:abc'"),
     (["verify", "--suspect", "{suspect}", *AUDIT, "--rule", "binom:0.99:x"],
      "rule parameter must be a number, got 'binom:0.99:x'"),
+    (["verify", "--suspect", "{suspect}", *AUDIT, "--rule", "binom"],
+     "rule needs a parameter, e.g. wilson:0.99, got 'binom'"),
 ]
 
 

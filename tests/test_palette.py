@@ -165,6 +165,14 @@ def test_constructor_checks_its_codes():
         QuantumMessage(palette, [], Basis(0.0))
 
 
+def test_messages_of_other_lengths_or_writing_bases_differ():
+    palette = (RebitState(0.0), RebitState(90.0))
+    message = QuantumMessage(palette, [1, 0, 1], Basis(0.0))
+    assert message == QuantumMessage(palette[::-1], [0, 1, 0], Basis(0.0))
+    assert message != QuantumMessage(palette, [1, 0, 1, 0], Basis(0.0))
+    assert message != QuantumMessage(palette, [1, 0, 1], Basis(45.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(size=st.integers(1, 256), codes=st.binary(min_size=1, max_size=64))
 def test_constructor_checks_bytes_codes_against_the_palette_size(size, codes):

@@ -68,6 +68,7 @@ RECOMMENDED_ORACLE = {
     (0.5, 0.3, 0.99, 0.99): 144,
     (0.5, 0.4, 0.99, 0.99): 596,
     (0.3, 0.0, 0.95, 0.95): 10,
+    (0.5, 0.48, 0.99, 0.99): 15002,
 }
 
 
@@ -522,10 +523,25 @@ class TestPmfWindow:
         assert (lo, masses) == expected
         masses[:] = [2.0] * len(masses)
         # one whole block and a read across two: each is a copy, not a cached list
-        for start, stop in [(0, stats._BLOCK), (stats._BLOCK - 5, stats._BLOCK + 5)]:
-            for column in stats._factorial_terms(start, stop):
+        spans = [range(stats._BLOCK), range(stats._BLOCK - 5, stats._BLOCK + 5)]
+        for columns in stats._factorial_terms(*spans):
+            for column in columns:
                 column[:] = [-1.0] * len(column)
         assert stats._binomial_pmf_window(n, p) == expected
+
+    def test_a_window_wider_than_the_cache_computes_each_block_once(self):
+        # near rate 1/2 the spans at k and at n - k cover the same blocks in the
+        # same order; read one after the other through the cache, the second
+        # would find every block of a window wider than the cache evicted
+        n = 3_000_000
+        stats._factorial_block.cache_clear()
+        decide(n // 2 + 100, n, 0.5, DecisionRule.exact_binomial(0.99))
+        misses = stats._factorial_block.cache_info().misses
+        lo, masses = stats._binomial_pmf_window(n, 0.5)
+        hi = lo + len(masses)
+        blocks = {j // stats._BLOCK for j in (*range(lo, hi), *range(n - hi + 1, n - lo + 1))}
+        assert len(blocks) > stats._CACHED_BLOCKS
+        assert misses == len(blocks)
 
     def test_a_far_window_reads_only_the_blocks_at_each_end(self):
         # a window far from rate 1/2 lies at both ends of its row; a run that
