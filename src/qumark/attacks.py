@@ -111,7 +111,7 @@ def noise_attack(message: ObservedMessage, flip_rate: float, rng: RandomSource) 
     degrades a watermark only by dragging its statistic toward 1/2.
     """
     _probability(flip_rate, "flip rate", "[]")
-    bits = _flip_bits(message.bits, range(len(message)), flip_rate, rng)
+    bits = _flip_bits(message.bits, None, flip_rate, rng)
     return ObservedMessage(bits=bits, observation_basis=message.observation_basis)
 
 

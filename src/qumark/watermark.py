@@ -14,8 +14,9 @@ from __future__ import annotations
 import operator
 import warnings
 from array import array
-from collections.abc import Iterable, MutableSequence, Sequence
-from itertools import islice
+from collections import deque
+from collections.abc import Iterable, Sequence
+from itertools import islice, repeat, starmap
 
 from . import stats
 from ._record import Record
@@ -63,36 +64,65 @@ def _check_indices(indices: Sequence[int], length: int) -> None:
         raise IndexOutOfRange(f"indices must lie in [0, {length}), got {indices[0]}..{indices[-1]}")
 
 
+# a stretch of len(_STILL) certain codes or more is drawn for from C, which
+# repays the Python step around it; _SLICE bounds a comprehension's list
+_STILL = bytes(64)
+_SLICE = 1 << 16
+
+
 def _flip_kernel(
-    codes: MutableSequence[int],
-    positions: Iterable[int],
+    codes: bytes | array,
+    positions: Iterable[int] | None,
     threshold: Sequence[float],
     below: Sequence[int],
     above: Sequence[int],
     rng: RandomSource,
-) -> None:
-    """Redraw codes[i] for each i in positions, in place.
+) -> bytearray | list[int]:
+    """A copy of codes with codes[i] redrawn for each i in positions, or every i for None.
 
     With c = codes[i], the new code is below[c] when rng.draw() < threshold[c]
     and above[c] otherwise. Exactly one draw is made per position, in the
     order positions gives, through the source's own draw method. Every
-    seeded transcript of the package rests on that contract.
+    seeded transcript of the package rests on that contract. The copy is a
+    bytearray when codes is bytes and every new code fits a byte, else a list.
+
+    Since a draw lies in [0, 1), a code whose threshold is 1 or more, or 0
+    or less, comes out the same for every draw. A whole-message call finds
+    those codes in C, and draws for each stretch of len(_STILL) or more of
+    them from C too; Python compares only over the rest.
     """
     draw = rng.draw
-    for i in positions:
-        c = codes[i]
-        codes[i] = below[c] if draw() < threshold[c] else above[c]
+    narrow = isinstance(codes, bytes) and max(*below, *above) < 256
+    out = bytearray(codes) if narrow else list(codes)
+    if positions is not None:
+        for i in positions:
+            c = out[i]
+            out[i] = below[c] if draw() < threshold[c] else above[c]
+        return out
+    n, start, moving = len(codes), 0, b""
+    if narrow:
+        certain = bytes([b if t >= 1.0 else a for t, b, a in zip(threshold, below, above)])
+        out[:] = codes.translate(certain.ljust(256, b"\0"))
+        moving = codes.translate(bytes([0.0 < t < 1.0 for t in threshold]).ljust(256, b"\0"))
+    while start < n:
+        # find gives -1 for none, which % (n + 1) turns into n
+        stop = moving.find(_STILL, start) % (n + 1)
+        for a in range(start, stop, _SLICE):
+            b = min(a + _SLICE, stop)
+            out[a:b] = [below[c] if draw() < threshold[c] else above[c] for c in codes[a:b]]
+        start = moving.find(1, stop) % (n + 1)
+        deque(starmap(draw, repeat((), start - stop)), 0)
+    return out
 
 
 def _measure(
-    message: QuantumMessage, basis: Basis, positions: Iterable[int], zero: int, one: int,
+    message: QuantumMessage, basis: Basis, positions: Iterable[int] | None, zero: int, one: int,
     rng: RandomSource,
-) -> list[int]:
+) -> bytearray | list[int]:
     """A copy of the message's codes with each one at positions measured in basis: zero or one."""
     read0 = [outcome_probability(s, basis, 0) for s in message.palette]
-    codes = list(message.codes)
-    _flip_kernel(codes, positions, read0, [zero] * len(read0), [one] * len(read0), rng)
-    return codes
+    n = len(read0)
+    return _flip_kernel(message.codes, positions, read0, [zero] * n, [one] * n, rng)
 
 
 # the maps between ASCII bits and 0 and 1, the codes of a two-entry palette
@@ -100,11 +130,11 @@ _BITS_TO_CODES = bytes.maketrans(b"01", b"\x00\x01")
 _CODES_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _flip_bits(bits: str, positions: Iterable[int], rate: float, rng: RandomSource) -> str:
-    """Flip bits[i] for each i in positions with probability rate: draw < rate flips."""
-    codes = list(bits.encode("ascii").translate(_BITS_TO_CODES))
-    _flip_kernel(codes, positions, (rate, rate), (1, 0), (0, 1), rng)
-    return bytes(codes).translate(_CODES_TO_BITS).decode("ascii")
+def _flip_bits(bits: str, positions: Iterable[int] | None, rate: float, rng: RandomSource) -> str:
+    """Flip bits[i] for each i in positions (None: all) with probability rate: draw < rate flips."""
+    codes = bits.encode("ascii").translate(_BITS_TO_CODES)
+    flipped = _flip_kernel(codes, positions, (rate, rate), (1, 0), (0, 1), rng)
+    return flipped.translate(_CODES_TO_BITS).decode("ascii")
 
 
 class QuantumMessage(Record):
@@ -291,7 +321,7 @@ def embed(
 
 def observe(message: QuantumMessage, basis: Basis, rng: RandomSource) -> ObservedMessage:
     """Measure every qubit in basis, consuming one draw per position in order."""
-    codes = _measure(message, basis, range(len(message)), 0, 1, rng)
+    codes = _measure(message, basis, None, 0, 1, rng)
     bits = bytes(codes).translate(_CODES_TO_BITS).decode("ascii")
     return ObservedMessage(bits=bits, observation_basis=basis)
 

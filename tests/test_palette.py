@@ -6,11 +6,14 @@ kept here: qstate.measure applied to each RebitState in order. The v1 message
 file must stay byte-identical to json.dumps of the whole document, and numpy's
 MT19937, loaded from the state of random.Random, serves as an independent
 oracle for the observe transcript. A RandomSource subclass that overrides
-draw sees every draw of all four kernel users.
+draw sees every draw of all four kernel users. The kernel itself must match
+its per-position loop, kept here, draw for draw, and whole-message users
+must not hold a list of one entry per position.
 """
 
 import json
 import random
+import tracemalloc
 import warnings
 from array import array
 
@@ -34,6 +37,7 @@ from qumark.watermark import (
     ObservedMessage,
     QuantumMessage,
     WatermarkSecret,
+    _flip_kernel,
     build_message,
     classical_flip_embed,
     embed,
@@ -274,12 +278,69 @@ class RecordingSource(RandomSource):
         return value
 
 
+def reference_kernel(codes, positions, threshold, below, above, rng):
+    """The flip kernel as one Python step per position, in place over a list."""
+    codes = list(codes)
+    draw = rng.draw
+    for i in range(len(codes)) if positions is None else positions:
+        c = codes[i]
+        codes[i] = below[c] if draw() < threshold[c] else above[c]
+    return codes
+
+
+# certain outcomes at the ends, a coin in between
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Tables for a palette and codes in runs both shorter and longer than 64."""
+    size = draw(st.one_of(st.integers(1, 6), st.integers(250, 300)), label="palette size")
+    ceiling = draw(st.sampled_from([2, 256, 257, 2**32]), label="new codes below")
+    # each table repeats a few drawn entries, so a wide palette stays cheap to draw
+    tables = [
+        [entries[i % len(entries)] for i in range(size)]
+        for entries in (
+            draw(st.lists(kind, min_size=1, max_size=5))
+            for kind in (THRESHOLDS, st.integers(0, ceiling - 1), st.integers(0, ceiling - 1))
+        )
+    ]
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, size - 1), st.one_of(st.integers(1, 63), st.integers(64, 200))),
+        min_size=1, max_size=12,
+    ))
+    codes = [code for code, length in runs for _ in range(length)]
+    return (bytes(codes) if size <= 256 else array("I", codes)), *tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=kernel_inputs(), seed=SEEDS, data=st.data())
+def test_the_kernel_matches_the_per_position_loop(inputs, seed, data):
+    codes, threshold, below, above = inputs
+    positions = data.draw(
+        st.none() | st.lists(st.integers(0, len(codes) - 1), max_size=300, unique=True),
+        label="positions",
+    )
+    kernel_rng, reference_rng = RecordingSource(seed), RecordingSource(seed)
+    got = _flip_kernel(codes, positions, threshold, below, above, kernel_rng)
+    assert list(got) == reference_kernel(codes, positions, threshold, below, above, reference_rng)
+    assert kernel_rng.drawn == reference_rng.drawn
+    assert len(kernel_rng.drawn) == len(codes if positions is None else positions)
+    narrow = isinstance(codes, bytes) and max(below + above) < 256
+    assert type(got) is (bytearray if narrow else list)
+
+
 PLAIN = "".join(random.Random(9).choice("01") for _ in range(3000))
 WRITING = Basis(0.0)
 MARKS = WatermarkSecret(range(1, 3000, 7), Basis(30.0))
+# marks 200 apart leave stretches of certain codes in the writing basis
+SPARSE_MARKS = WatermarkSecret(range(100, 3000, 200), Basis(30.0))
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     MARKED = embed(build_message(PLAIN, WRITING), MARKS, RandomSource(5))
+    SPARSE_MARKED = embed(build_message(PLAIN, WRITING), SPARSE_MARKS, RandomSource(5))
 
 # each kernel user, and the draws it makes
 KERNEL_USERS = {
@@ -288,8 +349,18 @@ KERNEL_USERS = {
     "classical_flip_embed": (
         lambda rng: classical_flip_embed(PLAIN, MARKS.indices, 0.25, rng), len(MARKS.indices)
     ),
+    "observe_sparse_in_writing_basis": (
+        lambda rng: observe(SPARSE_MARKED, WRITING, rng), len(PLAIN)
+    ),
     "noise_attack": (
         lambda rng: noise_attack(ObservedMessage(PLAIN, WRITING), 0.1, rng), len(PLAIN)
+    ),
+    # every bit is certain to stay or to flip
+    "noise_attack_rate_0": (
+        lambda rng: noise_attack(ObservedMessage(PLAIN, WRITING), 0.0, rng), len(PLAIN)
+    ),
+    "noise_attack_rate_1": (
+        lambda rng: noise_attack(ObservedMessage(PLAIN, WRITING), 1.0, rng), len(PLAIN)
     ),
 }
 
@@ -305,3 +376,29 @@ class TestSubclassTranscript:
             assert run(recording) == run(RandomSource(seed))
         base = RandomSource(seed)
         assert recording.drawn == [base.draw() for _ in range(draws)]
+
+
+BIG = 1 << 20
+BIG_BITS = format(random.Random(11).getrandbits(BIG), f"0{BIG}b")
+BIG_MESSAGE = build_message(BIG_BITS, WRITING)
+BIG_MARKS = WatermarkSecret(sorted(random.Random(12).sample(range(BIG), 1024)), Basis(45.0))
+BIG_MARKED = embed(BIG_MESSAGE, BIG_MARKS, RandomSource(1))
+BIG_OBSERVED = ObservedMessage(BIG_BITS, WRITING)
+
+# a list of one code per position alone would take 8 MiB
+USERS_AT_2_20 = {
+    "embed": lambda: embed(BIG_MESSAGE, BIG_MARKS, RandomSource(1)),
+    "observe": lambda: observe(BIG_MARKED, WRITING, RandomSource(2)),
+    "noise_attack": lambda: noise_attack(BIG_OBSERVED, 0.1, RandomSource(3)),
+}
+
+
+@pytest.mark.parametrize("user", sorted(USERS_AT_2_20))
+def test_a_kernel_user_peaks_within_6_mib_at_2_20_qubits(user):
+    tracemalloc.start()
+    try:
+        USERS_AT_2_20[user]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
