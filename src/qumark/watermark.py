@@ -159,6 +159,13 @@ class QuantumMessage(Record):
         palette = tuple(palette)
         out_of_range = IndexOutOfRange(f"palette codes must lie in [0, {len(palette)})")
         try:
+            view = memoryview(codes)
+        except TypeError:  # not a buffer: an iterable of ints
+            pass
+        else:  # bytes() and array() read a buffer's raw bytes, right only for bytes into bytes
+            if view.format != "B" or len(palette) > 256:
+                codes = view.tolist()
+        try:
             codes = bytes(codes) if len(palette) <= 256 else array("I", codes)
         except (ValueError, OverflowError):  # a code the storage cannot hold
             raise out_of_range from None

@@ -188,6 +188,45 @@ def test_constructor_checks_bytes_codes_against_the_palette_size(size, codes):
             QuantumMessage(palette, codes, Basis(0.0))
 
 
+# every container a caller may pass codes in, built from a list of ints
+CODE_CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "range": lambda codes: range(codes[0], codes[0] + len(codes)),
+    "generator": lambda codes: (code for code in codes),
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda codes: memoryview(bytes(codes)),
+    "array('B')": lambda codes: array("B", codes),
+    "array('I')": lambda codes: array("I", codes),
+    "numpy int64": lambda codes: np.array(codes, dtype=np.int64),
+}
+BYTE_CONTAINERS = ("bytes", "bytearray", "memoryview", "array('B')")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.sampled_from([2, 256, 257, 300]),
+    container=st.sampled_from(sorted(CODE_CONTAINERS)),
+    codes=st.lists(st.integers(0, 299), min_size=1, max_size=16)
+    | st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=16),
+)
+def test_constructor_reads_codes_as_ints_whatever_the_container(size, container, codes):
+    # bytes() and array() read a buffer's raw bytes: above 256 entries
+    # bytes(8) would be two codes, and at most 256 array("I", [1]) four and
+    # a numpy int64 array eight per code
+    if container in BYTE_CONTAINERS:
+        codes = [code % 256 for code in codes]
+    expected = list(CODE_CONTAINERS[container](codes))
+    palette = [RebitState(0.5 * i) for i in range(size)]
+    if max(expected) < size:
+        message = QuantumMessage(palette, CODE_CONTAINERS[container](codes), Basis(0.0))
+        assert list(message.codes) == expected
+    else:
+        with pytest.raises(IndexOutOfRange, match=rf"^palette codes must lie in \[0, {size}\)$"):
+            QuantumMessage(palette, CODE_CONTAINERS[container](codes), Basis(0.0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(distinct=st.integers(1, 300), repeats=st.integers(0, 300), seed=SEEDS)
 def test_constructor_merges_equal_angles(distinct, repeats, seed):

@@ -10,6 +10,7 @@ online oracle for randomized cross-checks.
 import math
 import sys
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from statistics import NormalDist
 
@@ -532,10 +533,12 @@ class TestPmfWindow:
     def test_a_window_wider_than_the_cache_computes_each_block_once(self):
         # near rate 1/2 the spans at k and at n - k cover the same blocks in the
         # same order; read one after the other through the cache, the second
-        # would find every block of a window wider than the cache evicted
+        # would find every block of a window wider than the cache evicted. The
+        # count's log-mass, about -158, is below the narrow floor, so decide
+        # reads the full window at once
         n = 3_000_000
         stats._factorial_block.cache_clear()
-        decide(n // 2 + 100, n, 0.5, DecisionRule.exact_binomial(0.99))
+        decide(n // 2 + 15_000, n, 0.5, DecisionRule.exact_binomial(0.99))
         misses = stats._factorial_block.cache_info().misses
         lo, masses = stats._binomial_pmf_window(n, 0.5)
         hi = lo + len(masses)
@@ -563,3 +566,135 @@ class TestPmfWindow:
         lo, masses = stats._binomial_pmf_window(n, p)
         assert any(masses) and row[:lo] == [0.0] * lo
         assert row[lo + len(masses):] == [0.0] * (n + 1 - lo - len(masses))
+
+
+def full_window_p_value(errors, total, rate):
+    """stats._exact_binomial_p_value on the full window alone, the reference for the narrow one."""
+    if 0.0 < rate < 1.0 and stats._log_mass(total, rate)(errors) < stats._LOG_MASS_FLOOR:
+        return 0.0
+    lo, masses = stats._binomial_pmf_window(total, rate)
+    at = errors - lo
+    observed = masses[at] if 0 <= at < len(masses) else 0.0
+    cutoff = observed * (1.0 + stats._PMF_TIE_SLACK)
+    return min(1.0, math.fsum(sorted(filter(cutoff.__ge__, masses), reverse=True)))
+
+
+def full_window_accepted_counts(n, pe, confidence):
+    """stats._accepted_counts on the full window alone, the reference for the narrow one."""
+    alpha = 1.0 - confidence
+    lo, pmf = stats._binomial_pmf_window(n, pe)
+    masses = sorted(pmf)
+    sums = list(accumulate(masses))
+    slack = len(masses) * math.ulp(sums[-1])
+    near = range(bisect_right(sums, alpha - slack), bisect_right(sums, alpha + slack))
+    edge = near.start + bisect_right(near, alpha, key=lambda i: math.fsum(masses[: i + 1]))
+    least = masses[edge] if edge < len(masses) and alpha < 1.0 else math.inf
+    counts, peak = range(len(pmf)), pmf.index(masses[-1])
+    tie = 1.0 + stats._PMF_TIE_SLACK
+    start = bisect_left(counts, least, 0, peak, key=lambda k: pmf[k] * tie)
+    stop = bisect_right(counts, -least, peak, key=lambda k: -pmf[k] * tie)
+    return range(lo + start, lo + stop)
+
+
+def full_window_power(n, pe, null_rate, confidence):
+    """stats._rejection_power on the full window alone, the reference for the narrow one."""
+    accepted = full_window_accepted_counts(n, pe, confidence)
+    lo, pmf = stats._binomial_pmf_window(n, null_rate)
+    rejected = pmf[: max(accepted.start - lo, 0)] + pmf[max(accepted.stop - lo, 0) :]
+    return math.fsum(sorted(rejected, reverse=True))
+
+
+def count_at_log_mass(n, rate, target, upper):
+    """The outermost count below the mode, or above it, whose log-mass is at least target."""
+    log_mass, mode = stats._log_mass(n, rate), min(n, int((n + 1) * rate))
+    if upper:
+        return bisect_right(range(n + 1), -target, mode, key=lambda k: -log_mass(k)) - 1
+    return bisect_left(range(mode), target, key=log_mass)
+
+
+@st.composite
+def narrow_window_cases(draw):
+    n = draw(st.integers(1, 20_000))
+    rate = draw(st.sampled_from([0.0, 1.0, 0.5]) | UNIT)
+    mode = min(n, int((n + 1) * rate))
+    errors = draw(st.integers(mode - 3, mode + 3) | st.integers(0, n))
+    if 0.0 < rate < 1.0 and draw(st.booleans()):
+        # a count at the narrow floor or one log unit either side of it
+        offset = draw(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.5, 1.5))
+        target = stats._NARROW_FLOOR + offset
+        errors = count_at_log_mass(n, rate, target, draw(st.booleans())) + draw(st.integers(-1, 1))
+    errors = min(max(errors, 0), n)
+    # the confidence anywhere, at verify's levels, or with alpha on a prefix sum
+    # of the sorted full-window masses, running or fsum
+    masses = sorted(stats._binomial_pmf_window(n, rate)[1])
+    m = draw(st.integers(1, len(masses)))
+    sums = [1.0 - v for v in (math.fsum(masses[:m]), sum(masses[:m])) if 0.0 < 1.0 - v < 1.0]
+    confidence = draw(OPEN_UNIT | st.sampled_from([0.99, 0.95, *sums]))
+    return n, rate, errors, confidence, draw(UNIT)
+
+
+@pytest.fixture
+def window_floors(monkeypatch):
+    """The floor of every pmf window built from here on, in order."""
+    floors, build = [], stats._binomial_pmf_window
+
+    def spy(n, p, floor=stats._LOG_MASS_FLOOR):
+        floors.append(floor)
+        return build(n, p, floor)
+
+    monkeypatch.setattr(stats, "_binomial_pmf_window", spy)
+    return floors
+
+
+class TestNarrowWindow:
+    """The narrow pmf window gives the full window's results bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(narrow_window_cases())
+    # the first counts at log-mass floor + 1 and at the floor, and alpha = 2**-53
+    @example((20_000, 0.5, count_at_log_mass(20_000, 0.5, -79.0, False), 0.99, 0.45))
+    @example((20_000, 0.3, count_at_log_mass(20_000, 0.3, -80.0, True), 0.95, 0.0))
+    @example((20_000, 0.5, 10_000, 1.0 - 2**-53, 1.0))
+    @example((100, 0.5, 0, 0.99, 0.4))  # the narrow window is the whole row
+    def test_p_value_accepted_counts_and_power_equal_the_full_window(self, case):
+        n, rate, errors, confidence, null_rate = case
+        assert stats._exact_binomial_p_value(errors, n, rate) == full_window_p_value(
+            errors, n, rate
+        )
+        assert stats._accepted_counts(n, rate, confidence) == full_window_accepted_counts(
+            n, rate, confidence
+        )
+        assert stats._rejection_power(n, rate, null_rate, confidence) == full_window_power(
+            n, rate, null_rate, confidence
+        )
+
+    def test_a_tie_is_never_certified(self):
+        # fsum rounds 1 + 2**-53 to even, 1.0; any positive mass more rounds it up
+        assert stats._certified_fsum([1.0, 2**-53], 0.0) == 1.0
+        for omitted in (5e-324, 1e-300, 2**-60):
+            assert stats._certified_fsum([1.0, 2**-53], omitted) is None
+        assert stats._certified_fsum([1.0, 2**-54], 2**-56) == 1.0
+
+    def test_a_count_just_above_the_narrow_floor_reads_the_full_window_at_once(
+        self, window_floors
+    ):
+        n, rate = 20_000, 0.5
+        errors = count_at_log_mass(n, rate, stats._NARROW_FLOOR + 0.5, False)
+        assert stats._NARROW_FLOOR <= stats._log_mass(n, rate)(errors) < stats._NARROW_FLOOR + 1
+        p_value = stats._exact_binomial_p_value(errors, n, rate)
+        assert window_floors == [stats._LOG_MASS_FLOOR]
+        assert p_value == full_window_p_value(errors, n, rate) == reference_p_value(errors, n, rate)
+
+    def test_no_errors_of_1024_marks_reads_only_the_full_window(self, window_floors):
+        # every pgm-sparse pass asks this twice: its log-mass, -710, is far below the narrow floor
+        assert decide(0, 1024, 0.5, stats.DEFAULT_RULE).decision == REJECT
+        assert window_floors == [stats._LOG_MASS_FLOOR]
+
+    def test_a_count_near_the_mode_reads_only_the_narrow_window(self, window_floors):
+        assert decide(49_904, 100_000, 0.5, stats.DEFAULT_RULE).accepted
+        assert window_floors == [stats._NARROW_FLOOR]
+
+    @pytest.mark.parametrize("null_rate, size", [(0.4, 596), (0.45, 2408), (0.48, 15002)])
+    def test_the_analyze_plans_read_only_narrow_windows(self, window_floors, null_rate, size):
+        assert recommended_sample_size(0.5, null_rate, 0.99, 0.99) == size
+        assert set(window_floors) == {stats._NARROW_FLOOR}
