@@ -36,6 +36,10 @@ SECRET_FORMAT_VERSION = 1
 MESSAGE_FORMAT_VERSION = 1
 OBSERVATION_FORMAT_VERSION = 1
 
+# what _format_angle writes; float() would also take "4_5", " 45 ", "4.5e1"
+# and digits of other scripts, which \d matches too
+_FIXED_POINT = r"[0-9]+(?:\.[0-9]+)?"
+
 
 def _format_angle(value: float, period: float) -> str:
     text = f"{value:.6f}"
@@ -47,9 +51,7 @@ def _format_angle(value: float, period: float) -> str:
 def _parse_angle(value: object, field: str, period: float) -> float:
     if not isinstance(value, str):
         raise MalformedFile(f"{field} must be a fixed-point string, got {type(value).__name__}")
-    # what _format_angle writes; float() would also take "4_5", " 45 ", "4.5e1"
-    # and digits of other scripts, which \d matches too
-    if not re.fullmatch(r"[0-9]+(?:\.[0-9]+)?", value):
+    if not re.fullmatch(_FIXED_POINT, value):
         raise MalformedFile(f"{field} is not a fixed-point decimal: {value!r}")
     angle = float(value)
     if not 0.0 <= angle < period:
@@ -171,7 +173,7 @@ def dump_quantum_message(message: QuantumMessage) -> str:
     codes = message.codes
     theta = json.dumps(_format_angle(message.writing_basis.theta, 90.0))
     return "".join(chain(
-        ('{\n  "states": [\n', lines[codes[0]][2:]),
+        (_MESSAGE_HEADER.decode("ascii"), lines[codes[0]][2:]),
         map(lines.__getitem__, islice(codes, 1, None)),
         (
             f'\n  ],\n  "version": {MESSAGE_FORMAT_VERSION},\n'
@@ -183,10 +185,10 @@ def dump_quantum_message(message: QuantumMessage) -> str:
 # the bytes dump_quantum_message writes around the states block; the
 # patterns go through re's cache on first use, not compiled at import
 _MESSAGE_HEADER = b'{\n  "states": [\n'
-_MESSAGE_FOOTER = (
-    rb'\n  \],\n  "version": 1,\n  "writing_basis_theta": "([0-9]+(?:\.[0-9]+)?)"\n\}\n'
+_MESSAGE_FOOTER = rb'\n  \],\n  "version": %d,\n  "writing_basis_theta": "(%b)"\n\}\n' % (
+    MESSAGE_FORMAT_VERSION, _FIXED_POINT.encode()
 )
-_STATE_LINE = rb'    "[0-9]+(?:\.[0-9]+)?"'
+_STATE_LINE = rb'    "%b"' % _FIXED_POINT.encode()
 _SLICE_BYTES = 1 << 16
 
 

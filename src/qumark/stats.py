@@ -250,12 +250,6 @@ def _binomial_pmf_window(
     return lo, list(map(math.exp, logs))
 
 
-def _binomial_pmf_row(n: int, p: float) -> list[float]:
-    """Binomial(n, p) pmf for k = 0..n: the window, padded with its exact zeros."""
-    lo, masses = _binomial_pmf_window(n, p)
-    return [0.0] * lo + masses + [0.0] * (n + 1 - lo - len(masses))
-
-
 def _certified_fsum(terms: list[float], omitted: float) -> float | None:
     """fsum(terms), or None where nonnegative terms adding up to at most omitted could change it.
 

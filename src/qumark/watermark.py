@@ -158,17 +158,23 @@ class QuantumMessage(Record):
     ) -> None:
         palette = tuple(palette)
         out_of_range = IndexOutOfRange(f"palette codes must lie in [0, {len(palette)})")
+        wrong_type = TypeError(f"codes must be a flat iterable of ints, got {type(codes).__name__}")
         try:
             view = memoryview(codes)
         except TypeError:  # not a buffer: an iterable of ints
-            pass
+            if hasattr(codes, "__index__"):  # which bytes() would take for a length
+                raise wrong_type from None
         else:  # bytes() and array() read a buffer's raw bytes, right only for bytes into bytes
+            if view.ndim != 1:  # bytes() would flatten it, tolist() nest it
+                raise wrong_type
             if view.format != "B" or len(palette) > 256:
                 codes = view.tolist()
         try:
             codes = bytes(codes) if len(palette) <= 256 else array("I", codes)
         except (ValueError, OverflowError):  # a code the storage cannot hold
             raise out_of_range from None
+        except TypeError:  # a str, a float or a nested list among the codes
+            raise wrong_type from None
         if not codes:
             raise EmptyMessage("a quantum message needs at least one qubit")
         # bytes codes: delete every valid code in one pass and see if any is left

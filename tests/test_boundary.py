@@ -1,6 +1,6 @@
 """The boundary contract of every public callable in qumark.__all__.
 
-For each number, count, bit and bytes/str parameter, a wrong type raises
+For each number, count, bit, code and bytes/str parameter, a wrong type raises
 TypeError whose message names the parameter, and an out-of-domain value
 raises a QumarkError. Either is raised by qumark's own code, so the
 innermost traceback frame lies in the package, never in the stdlib.
@@ -26,6 +26,7 @@ from qumark import (
     DerivationParams,
     ImageMeta,
     ObservedMessage,
+    QuantumMessage,
     QumarkError,
     RandomSource,
     RebitState,
@@ -39,6 +40,7 @@ BASIS = Basis(0.0)
 OBSERVED = ObservedMessage("0101", BASIS)
 RULE = DecisionRule.wilson(0.99)
 SECRET = WatermarkSecret((0, 2), Basis(45.0))
+PALETTE = (RebitState(0.0), RebitState(90.0))
 
 # the wrong types each kind of parameter is probed with
 NUMBER = [None, True, "1", b"1", object(), [0.5]]
@@ -118,6 +120,8 @@ ROWS = [
         "power", "power", NUMBER, [0, 1, math.nan]),
     Row("WatermarkSecret", lambda v: WatermarkSecret((0,), BASIS, v), "key", "key", BYTES[1:], []),
     Row("ObservedMessage", lambda v: ObservedMessage(v, BASIS), "bits", "bits", BITS, ["", "2"]),
+    Row("QuantumMessage", lambda v: QuantumMessage(PALETTE, v, BASIS), "codes", "codes",
+        [None, True, 5, "01", object(), [0.5], [[0]]], [[], [2], [-1], b"\x02"]),
     Row("build_message", lambda v: qumark.build_message(v, BASIS), "bits", "bits", BITS,
         ["", "0 1"]),
     Row("classical_flip_embed",
@@ -132,8 +136,8 @@ ROWS = [
 # element by the constructor that owns it; result records and exception
 # types are built by the package itself
 NOT_PROBED = {
-    "AttackOutcome", "AveragingResult", "DecisionOutcome", "QuantumMessage", "QumarkError",
-    "SampleSizeSpec", "SmallSampleWarning", "VerificationReport", "averaging_attack",
+    "AttackOutcome", "AveragingResult", "DecisionOutcome", "QumarkError", "SampleSizeSpec",
+    "SmallSampleWarning", "VerificationReport", "averaging_attack",
     "derive_indices", "dump_observation", "dump_quantum_message", "embed", "emit",
     "expected_error_probability", "generate_secret", "measure", "observe", "run_attack_report",
     "verify",

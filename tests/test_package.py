@@ -6,6 +6,7 @@ name that drops out of a module's __all__, or one exported twice, shows up
 here rather than in a caller's import.
 """
 
+import ast
 import importlib
 import os
 import re
@@ -77,6 +78,49 @@ def test_every_name_is_the_object_its_module_defines():
         home = importlib.import_module(f"qumark.{module}")
         assert getattr(qumark, name) is getattr(home, name), name
         assert getattr(getattr(qumark, name), "__module__", home.__name__) == home.__name__
+
+
+def top_level_names(statement):
+    """The names a module-level statement binds, other than by an import."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [
+        node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)
+    ]
+
+
+def names_read(statement):
+    """The names a statement reads: as a variable, as an attribute, or by a from-import."""
+    for node in ast.walk(statement):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            yield node.id if isinstance(node, ast.Name) else node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_top_level_name_is_read_by_the_package():
+    # a private name that no package code reads is dead, or kept for tests alone;
+    # a read inside the name's own definition, such as a recursive call, is not one
+    defined, read_by = [], {}
+    for path in sorted(Path(qumark.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name in top_level_names(statement):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((f"{path.stem}.{name}", name, statement))
+            for name in names_read(statement):
+                read_by.setdefault(name, []).append(statement)
+    unread = [
+        where
+        for where, name, statement in defined
+        if not any(reader is not statement for reader in read_by.get(name, []))
+    ]
+    assert unread == []
 
 
 def test_import_leaves_the_command_line_unloaded():

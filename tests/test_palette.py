@@ -227,6 +227,26 @@ def test_constructor_reads_codes_as_ints_whatever_the_container(size, container,
             QuantumMessage(palette, CODE_CONTAINERS[container](codes), Basis(0.0))
 
 
+# bytes() would read an int as a length and flatten a buffer of more than
+# one dimension; array() and tolist() would fail on either with a bare message
+NOT_CODES = {
+    "int": 5,
+    "numpy int64": np.int64(5),
+    "0-d numpy array": np.array(5),
+    "2-D uint8 array": np.zeros((2, 2), dtype=np.uint8),
+    "2-D memoryview": memoryview(bytes(4)).cast("B", (2, 2)),
+    "2-D int64 array": np.zeros((2, 2), dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("size", [2, 300])
+@pytest.mark.parametrize("name", sorted(NOT_CODES))
+def test_constructor_refuses_codes_that_are_not_a_flat_iterable(size, name):
+    palette = [RebitState(0.5 * i) for i in range(size)]
+    with pytest.raises(TypeError, match=r"^codes must be a flat iterable of ints, got "):
+        QuantumMessage(palette, NOT_CODES[name], Basis(0.0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(distinct=st.integers(1, 300), repeats=st.integers(0, 300), seed=SEEDS)
 def test_constructor_merges_equal_angles(distinct, repeats, seed):

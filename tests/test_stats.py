@@ -378,7 +378,7 @@ def exact_test_cases(draw):
     # the confidence either anywhere, or with alpha on a prefix sum of the
     # sorted masses, running or fsum, where decide's strict p > alpha and a
     # rounded threshold would part ways
-    masses = sorted(stats._binomial_pmf_row(n, pe))
+    masses = sorted(reference_pmf_row(n, pe))
     sums = [*accumulate(masses), *(math.fsum(masses[:m]) for m in range(1, len(masses) + 1))]
     on_a_sum = st.sampled_from([1.0 - v for v in sums if 0.0 < 1.0 - v < 1.0] or [0.5])
     confidence = draw(OPEN_UNIT | on_a_sum)
@@ -403,7 +403,7 @@ class TestExactTestPlan:
         verdicts = [decide(k, n, pe, rule).accepted for k in range(n + 1)] if n else [alpha < 1.0]
         accepted = stats._accepted_counts(n, pe, confidence)
         assert verdicts == [k in accepted for k in range(n + 1)]
-        null = stats._binomial_pmf_row(n, null_rate)
+        null = reference_pmf_row(n, null_rate)
         rejected = math.fsum(mass for mass, ok in zip(null, verdicts) if not ok)
         assert stats._rejection_power(n, pe, null_rate, confidence) == rejected
 
@@ -420,7 +420,7 @@ class TestExactTestPlan:
 
 
 def reference_pmf_row(n, p):
-    """The full-row pmf comprehension, the reference for stats._binomial_pmf_row."""
+    """The full-row pmf comprehension, the reference for stats._binomial_pmf_window."""
     if p == 0.0:
         return [1.0] + [0.0] * n
     if p == 1.0:
@@ -440,6 +440,12 @@ def reference_p_value(errors, total, rate):
     pmf = reference_pmf_row(total, rate)
     cutoff = pmf[errors] * (1.0 + stats._PMF_TIE_SLACK)
     return min(1.0, math.fsum(v for v in pmf if v <= cutoff))
+
+
+def padded_window(n, p):
+    """The full-floor pmf window, padded with zeros to the whole row."""
+    lo, masses = stats._binomial_pmf_window(n, p)
+    return [0.0] * lo + masses + [0.0] * (n + 1 - lo - len(masses))
 
 
 def cold_and_warm_windows(rows):
@@ -466,7 +472,7 @@ class TestPmfWindow:
     @example(2999, 0.5)
     @example(0, 0.3)
     def test_row_equals_the_full_row(self, n, p):
-        assert stats._binomial_pmf_row(n, p) == reference_pmf_row(n, p)
+        assert padded_window(n, p) == reference_pmf_row(n, p)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 3000), UNIT, st.floats(0.0, 1.0))
@@ -561,8 +567,8 @@ class TestPmfWindow:
     @pytest.mark.parametrize("n", [15002, 100_000])
     @pytest.mark.parametrize("p", [0.5, 0.48, 1e-9])
     def test_pinned_large_rows(self, n, p):
-        row = stats._binomial_pmf_row(n, p)
-        assert row == reference_pmf_row(n, p)
+        row = reference_pmf_row(n, p)
+        assert padded_window(n, p) == row
         lo, masses = stats._binomial_pmf_window(n, p)
         assert any(masses) and row[:lo] == [0.0] * lo
         assert row[lo + len(masses):] == [0.0] * (n + 1 - lo - len(masses))
