@@ -160,20 +160,14 @@ class QuantumMessage(Record):
         out_of_range = IndexOutOfRange(f"palette codes must lie in [0, {len(palette)})")
         wrong_type = TypeError(f"codes must be a flat iterable of ints, got {type(codes).__name__}")
         try:
-            view = memoryview(codes)
-        except TypeError:  # not a buffer: an iterable of ints
-            if hasattr(codes, "__index__"):  # which bytes() would take for a length
-                raise wrong_type from None
-        else:  # bytes() and array() read a buffer's raw bytes, right only for bytes into bytes
-            if view.ndim != 1:  # bytes() would flatten it, tolist() nest it
-                raise wrong_type
-            if view.format != "B" or len(palette) > 256:
-                codes = view.tolist()
-        try:
+            # bytes() and array() read any other buffer's raw bytes and take an
+            # int for a length; an iterator yields items, and iter(5) fails
+            if len(palette) > 256 or not isinstance(codes, (bytes, bytearray)):
+                codes = iter(codes)
             codes = bytes(codes) if len(palette) <= 256 else array("I", codes)
         except (ValueError, OverflowError):  # a code the storage cannot hold
             raise out_of_range from None
-        except TypeError:  # a str, a float or a nested list among the codes
+        except (TypeError, NotImplementedError):  # not iterable, a nested or a non-int item
             raise wrong_type from None
         if not codes:
             raise EmptyMessage("a quantum message needs at least one qubit")

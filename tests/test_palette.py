@@ -228,7 +228,7 @@ def test_constructor_reads_codes_as_ints_whatever_the_container(size, container,
 
 
 # bytes() would read an int as a length and flatten a buffer of more than
-# one dimension; array() and tolist() would fail on either with a bare message
+# one dimension; a numpy bool is no int, though tolist() would make it one
 NOT_CODES = {
     "int": 5,
     "numpy int64": np.int64(5),
@@ -236,6 +236,7 @@ NOT_CODES = {
     "2-D uint8 array": np.zeros((2, 2), dtype=np.uint8),
     "2-D memoryview": memoryview(bytes(4)).cast("B", (2, 2)),
     "2-D int64 array": np.zeros((2, 2), dtype=np.int64),
+    "numpy bool array": np.array([True, False]),
 }
 
 
@@ -243,8 +244,21 @@ NOT_CODES = {
 @pytest.mark.parametrize("name", sorted(NOT_CODES))
 def test_constructor_refuses_codes_that_are_not_a_flat_iterable(size, name):
     palette = [RebitState(0.5 * i) for i in range(size)]
-    with pytest.raises(TypeError, match=r"^codes must be a flat iterable of ints, got "):
+    got = type(NOT_CODES[name]).__name__
+    with pytest.raises(TypeError, match=rf"^codes must be a flat iterable of ints, got {got}$"):
         QuantumMessage(palette, NOT_CODES[name], Basis(0.0))
+
+
+def test_constructor_streams_an_iterator_of_codes():
+    # a list of one code per position alone would take 8 MiB
+    palette = (RebitState(0.0), RebitState(90.0))
+    tracemalloc.start()
+    try:
+        QuantumMessage(palette, map(int, bytes(2**20)), Basis(0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 @settings(max_examples=40, deadline=None)

@@ -161,6 +161,14 @@ class TestWilsonInterval:
         assert decide(5300, 10000, 0.5, rule).decision == REJECT
         assert decide(0, 4096, 0.5, rule).decision == REJECT
 
+    def test_confidence_does_not_bound_the_false_reject_rate(self):
+        # at pe = 0.01 and 8 marks only 0 errors are accepted: a marked copy
+        # is rejected with probability 1 - 0.99**8, not 1 - 0.99
+        rule = DecisionRule.wilson(0.99)
+        rejected = [k for k in range(9) if decide(k, 8, 0.01, rule).decision == REJECT]
+        masses = (math.comb(8, k) * 0.01**k * 0.99 ** (8 - k) for k in rejected)
+        assert math.fsum(masses) == pytest.approx(1 - 0.99**8, abs=1e-12)
+
     def test_interval_contains_the_point_estimate(self):
         rule = DecisionRule.wilson(0.99)
         for errors, total in [(0, 10), (1, 10), (5, 10), (10, 10), (50, 1000), (999, 1000)]:

@@ -8,6 +8,7 @@ against the classical flip model that mirrors the pipeline.
 
 import math
 import operator
+import random
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from qumark.errors import (
     LengthMismatch,
     SampleTooSmall,
 )
+from qumark.keys import DerivationParams, SecretKey, generate_secret
 from qumark.qstate import Basis, RandomSource, expected_error_probability
 from qumark.stats import ACCEPT, DEFAULT_RULE, DecisionRule, decide, recommended_sample_size
 from qumark.watermark import (
@@ -477,6 +479,21 @@ class TestVerify:
         report = verify(reference, reference, secret, DecisionRule.wilson(0.99))
         assert not report.accepted
         assert report.error_count == 0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+    @pytest.mark.parametrize("rule", [
+        DecisionRule.fixed(0.05), DecisionRule.wilson(0.99), DecisionRule.exact_binomial(0.99)
+    ])
+    def test_an_unrelated_copy_is_rejected(self, rule):
+        # at pe = 1/2 independent bits disagree at a marked position as often
+        # as a genuine copy's marks flip: here 975 errors among 2,000 marks
+        size = 16384
+        rng = random.Random(30)
+        reference, suspect = ("".join(rng.choice("01") for _ in range(size)) for _ in range(2))
+        secret = generate_secret(SecretKey.generate(7), DerivationParams(size, 2000), MARK45)
+        report = verify(ObservedMessage(suspect, WRITING), ObservedMessage(reference, WRITING),
+                        secret, rule)
+        assert not report.accepted
 
     @pytest.mark.parametrize("rule", [
         DecisionRule.fixed(0.25), DecisionRule.wilson(0.99), DecisionRule.exact_binomial(0.99)
