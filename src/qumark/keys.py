@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import compress, count
 
 from ._record import Record
@@ -85,10 +85,10 @@ class DerivationParams(Record):
             return self.message_length
         return self.eligibility_mask.count("1")
 
-    def eligible_positions(self) -> list[int]:
-        """Positions the watermark may occupy, in increasing order."""
+    def eligible_positions(self) -> Sequence[int]:
+        """Positions the watermark may occupy, in increasing order (a range without a mask)."""
         if self.eligibility_mask is None:
-            return list(range(self.message_length))
+            return range(self.message_length)
         mask = self.eligibility_mask.encode("ascii").translate(_BITS_TO_CODES)
         return list(compress(range(self.message_length), mask))
 
@@ -123,10 +123,7 @@ def derive_indices(key: SecretKey, params: DerivationParams) -> tuple[int, ...]:
     Only the entries the shuffle moves are stored, so without a mask the
     time and memory grow with mark_count, not with message_length.
     """
-    if params.eligibility_mask is None:
-        pool = range(params.message_length)
-    else:
-        pool = params.eligible_positions()
+    pool = params.eligible_positions()
     moved: dict[int, int] = {}  # pool position -> the entry the shuffle put there
     chosen = []
     words = _key_words(key)

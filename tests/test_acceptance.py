@@ -12,6 +12,12 @@ recovered frequency stays at 1/2), and a shift attack on a high-entropy
 payload produces coin-flip comparisons that also sit at 1/2; both attacks
 are only *detectable* when the payload skews the marked positions, and the
 skewed (all-zero) payload is the case these criteria pin down.
+
+Beside criteria 3, 5 and 7 run cases on random plaintexts, one fresh
+plaintext per trial, whose expected outcomes come from the binomial model
+rather than from the seeds: a count is asserted within the far quantiles of
+its binomial (FAR_TAIL on each side), so no seed was picked to pass.
+classical_flip_embed stands in for embed then observe (criterion 4).
 """
 
 import hashlib
@@ -19,12 +25,13 @@ import random
 import time
 
 import numpy as np
+import pytest
 from scipy import stats as sps
 
 from qumark import cli
 from qumark.carrier import CarrierPayload, PGM_LSB, bits_to_bytes, emit, ingest_pgm
 from qumark.keys import DerivationParams, SecretKey, derive_indices, generate_secret
-from qumark.qstate import Basis, RandomSource
+from qumark.qstate import Basis, RandomSource, expected_error_probability
 from qumark.stats import DecisionRule
 from qumark.watermark import (
     ObservedMessage,
@@ -48,6 +55,35 @@ PIPELINE_HASHES = {
     "marked.ref.json": "09bc348b784c493d9932b41328642f7061f5d59c973a45468a4112a62bcfbb9c",
     "suspect.json": "b93e6b36a3fa1939b9b720cf27dadb26d9ab037fe99ac43aedcc2a6c8066e27b",
 }
+
+
+# the random-plaintext cases: 4,096 keyed marks of 8,192 bits
+RANDOM_LENGTH, RANDOM_MARKS = 8192, 4096
+FAR_TAIL = 1e-9
+# P[wilson:0.99 accepts Binomial(4096, 1/2) errors], pinned in tests/test_stats.py
+WILSON_ACCEPT_RATE = 0.9900747108063
+
+
+def far_quantiles(n: int, p: float) -> tuple[int, int]:
+    """Counts that Binomial(n, p) falls below, or above, with probability at most FAR_TAIL."""
+    return int(sps.binom.ppf(FAR_TAIL, n, p)), int(sps.binom.isf(FAR_TAIL, n, p))
+
+
+def random_plaintext_trials(mark: Basis, seed: int, trials: int):
+    """Yield (secret, reference, genuine copy maker) on a fresh random plaintext per trial."""
+    params = DerivationParams(RANDOM_LENGTH, RANDOM_MARKS)
+    indices = derive_indices(SecretKey(bytes(range(32))), params)
+    secret = WatermarkSecret(indices=indices, mark_basis=mark)
+    pe = expected_error_probability(mark, WRITING)
+    plaintexts, rng = random.Random(seed), RandomSource(seed + 1)
+    for _ in range(trials):
+        plain = format(plaintexts.getrandbits(RANDOM_LENGTH), f"0{RANDOM_LENGTH}b")
+
+        def genuine(plain=plain):
+            bits = classical_flip_embed(plain, indices, pe, rng)
+            return ObservedMessage(bits=bits, observation_basis=WRITING)
+
+        yield secret, ObservedMessage(bits=plain, observation_basis=WRITING), genuine
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -136,6 +172,20 @@ def test_criterion_3_detection_power():
                   f" {rejects}/1000 (need 1000), {elapsed:.1f}s (< 60s)")
 
 
+def test_criterion_3_detection_on_random_plaintexts():
+    # a genuine copy's errors are Binomial(4096, 1/2) whatever the plaintext
+    trials = 400
+    rule = DecisionRule.wilson(0.99)
+    accepts = unmarked_rejects = 0
+    for secret, reference, genuine in random_plaintext_trials(MARK45, 3100, trials):
+        accepts += verify(genuine(), reference, secret, rule).accepted
+        unmarked_rejects += not verify(reference, reference, secret, rule).accepted
+    low, high = far_quantiles(trials, WILSON_ACCEPT_RATE)
+    ok = low <= accepts <= high and unmarked_rejects == trials
+    report(3, ok, f"random plaintexts: genuine accepts {accepts}/{trials} (need {low}-{high}),"
+                  f" unmarked rejects {unmarked_rejects}/{trials} (need {trials})")
+
+
 def test_criterion_4_classical_equivalence():
     plain = "0" * 32
     indices = tuple(range(0, 32, 2))
@@ -186,6 +236,49 @@ def test_criterion_5_averaging_attack():
                   f" recovered message rejected {rejects}/{trials} (need {trials})")
 
 
+def averaged_copies(mark: Basis, seed: int, trials: int):
+    """Yield (secret, reference, averaging result) over 20 genuine copies per trial."""
+    from qumark.attacks import averaging_attack
+
+    for secret, reference, genuine in random_plaintext_trials(mark, seed, trials):
+        yield secret, reference, averaging_attack([genuine() for _ in range(20)])
+
+
+def test_criterion_5_averaging_on_random_plaintexts_at_a_quarter():
+    # at pe 1/4 the majority of 20 copies is wrong with P[Bin(20, 1/4) > 10],
+    # and a 10-10 tie, which goes to 0, is wrong where the true bit is 1
+    trials = 10
+    majority = sps.binom(20, expected_error_probability(MARK30, WRITING))
+    wrong = majority.sf(10) + majority.pmf(10) / 2
+    rule = DecisionRule.wilson(0.99)
+    errors = rejects = 0
+    for secret, reference, result in averaged_copies(MARK30, 5100, trials):
+        recovered = ObservedMessage(bits=result.recovered_bits, observation_basis=WRITING)
+        outcome = verify(recovered, reference, secret, rule)
+        errors += outcome.error_count
+        rejects += not outcome.accepted
+    low, high = far_quantiles(trials * RANDOM_MARKS, wrong)
+    ok = low <= errors <= high and rejects == trials
+    report(5, ok, f"m = 20, pe 1/4, random plaintexts: {errors} wrong marked bits"
+                  f" (need {low}-{high}, rate {wrong:.4f}), rejected {rejects}/{trials}"
+                  f" (need {trials})")
+
+
+def test_criterion_5_averaging_on_random_plaintexts_finds_the_marks():
+    # at pe 1/2 a marked position stays hidden only if all 20 copies agree,
+    # with probability 2 * 2**-20; an unmarked one never shows
+    trials = 10
+    hidden, stray = 0, 0
+    for secret, _, result in averaged_copies(MARK45, 5200, trials):
+        suspected = set(result.suspected_indices)
+        hidden += len(set(secret.indices) - suspected)
+        stray += len(suspected - set(secret.indices))
+    _, high = far_quantiles(trials * RANDOM_MARKS, 2.0**-19)
+    ok = hidden <= high and stray == 0
+    report(5, ok, f"m = 20, pe 1/2, random plaintexts: {hidden} marks hidden (need <= {high}),"
+                  f" {stray} unmarked positions suspected (need 0)")
+
+
 def test_criterion_6_noise_attack():
     from qumark.attacks import noise_attack
 
@@ -228,6 +321,34 @@ def test_criterion_7_shift_attack():
             rejects += 1
     ok = rejects >= 990
     report(7, ok, f"offset 1 at |I| = {marks}: rejects {rejects}/1000 (need >= 990)")
+
+
+def shifted_reports(seed: int, trials: int):
+    from qumark.attacks import shift_attack
+
+    rule = DecisionRule.wilson(0.99)
+    for secret, reference, genuine in random_plaintext_trials(MARK45, seed, trials):
+        yield verify(shift_attack(genuine(), 1, 0), reference, secret, rule)
+
+
+def test_criterion_7_shift_on_random_plaintexts_reads_coin_flips():
+    # each mark is compared with the bit before it: the XORs of adjacent bits
+    # of a random plaintext are independent coin flips, so the errors are
+    # Binomial(4096, 1/2), the rate of a genuine copy at 45 degrees
+    trials = 20
+    errors = sum(outcome.error_count for outcome in shifted_reports(7100, trials))
+    low, high = far_quantiles(trials * RANDOM_MARKS, 0.5)
+    report(7, low <= errors <= high, f"random plaintexts, offset 1: {errors} errors in"
+                                     f" {trials} x {RANDOM_MARKS} marks (need {low}-{high})")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+def test_criterion_7_shift_on_random_plaintexts_is_rejected():
+    # at the rates above each shifted copy is accepted with WILSON_ACCEPT_RATE
+    trials = 20
+    rejects = sum(not outcome.accepted for outcome in shifted_reports(7200, trials))
+    report(7, rejects == trials, f"random plaintexts, offset 1: rejects {rejects}/{trials}"
+                                 f" (need {trials})")
 
 
 def test_criterion_8_imperceptibility():

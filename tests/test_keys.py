@@ -37,7 +37,7 @@ GOLDEN_SETS = {
 
 def reference_derive_indices(key, params):
     """The partial Fisher-Yates as a swap loop over the whole eligible list."""
-    pool = params.eligible_positions()
+    pool = list(params.eligible_positions())
     words = _key_words(key)
     for i in range(params.mark_count):
         j = i + _below(words, len(pool) - i)
@@ -101,7 +101,7 @@ class TestDerivationParams:
     def test_eligible_positions_without_mask(self):
         params = DerivationParams(message_length=6, mark_count=2)
         assert params.eligible_count() == 6
-        assert params.eligible_positions() == [0, 1, 2, 3, 4, 5]
+        assert params.eligible_positions() == range(6)
 
     def test_eligible_positions_with_mask(self):
         params = DerivationParams(6, 2, eligibility_mask="010110")
@@ -113,7 +113,7 @@ class TestDerivationParams:
     def test_eligible_positions_are_the_ones_of_the_mask(self, params):
         mask = params.eligibility_mask or "1" * params.message_length
         expected = [i for i, flag in enumerate(mask) if flag == "1"]
-        assert params.eligible_positions() == expected
+        assert list(params.eligible_positions()) == expected
 
     def test_mask_must_match_length_and_charset(self):
         with pytest.raises(ValueError):
