@@ -39,11 +39,11 @@ class AveragingResult(Record):
 
     suspected_indices are the positions where any two copies disagree;
     disagreement_counts[i] is how many copies were outvoted at position i
-    (zero everywhere the copies agree).
+    (zero everywhere the copies agree): bytes up to 255 copies, else an array.
     """
 
     recovered_bits: str
-    disagreement_counts: tuple[int, ...]
+    disagreement_counts: bytes | array
 
     @property
     def suspected_indices(self) -> tuple[int, ...]:
@@ -101,7 +101,7 @@ def averaging_attack(copies: Sequence[ObservedMessage]) -> AveragingResult:
         column_ones = array(code, ones)
         recovered = bytes(map(majority.__getitem__, column_ones))
         counts = array(code, map(outvoted.__getitem__, column_ones))
-    return AveragingResult(recovered.decode("ascii"), tuple(counts))
+    return AveragingResult(recovered.decode("ascii"), counts)
 
 
 def noise_attack(message: ObservedMessage, flip_rate: float, rng: RandomSource) -> ObservedMessage:

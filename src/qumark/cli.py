@@ -304,9 +304,7 @@ def _cmd_attack_averaging(args: argparse.Namespace) -> int:
     copies = [fileformats.load_observation(_read_bytes(path)) for path in args.copies]
     audit = _load_audit(args)
     result = averaging_attack(copies)
-    recovered = ObservedMessage(
-        bits=result.recovered_bits, observation_basis=copies[0].observation_basis
-    )
+    recovered = ObservedMessage(result.recovered_bits, copies[0].observation_basis)
     counts = result.disagreement_counts  # suspected_indices would list ~all marks to count them
     suspected = f"suspected_positions: {len(counts) - counts.count(0)}"
     inputs = [("--copies", path) for path in args.copies]
@@ -347,7 +345,9 @@ def _add_audit(parser: argparse.ArgumentParser, out_help: str | None = None) -> 
     default = _rule_token(stats.DEFAULT_RULE)
     parser.add_argument(
         "--rule", default=default,
-        help=f"decision rule: fixed:EPS, wilson:CONF, or binom:CONF (default {default})",
+        help="decision rule: fixed:EPS accepts when pe lies within EPS of the observed frequency,"
+        " wilson:CONF when the Wilson interval at CONF covers pe, and binom:CONF rejects a genuine"
+        f" copy with probability at most 1-CONF (default {default})",
     )
 
 

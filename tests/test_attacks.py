@@ -6,6 +6,8 @@ noise rates compose, and which attacks actually strip the watermark.
 """
 
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,7 +78,9 @@ def reference_averaging(copies):
         counts.append(m - ones if majority == "1" else ones)
         if 0 < ones < m:
             suspected.append(i)
-    return AveragingResult("".join(recovered), tuple(counts)), tuple(suspected)
+    # one count per position: bytes up to 255 copies, an array past them
+    counts = bytes(counts) if m <= 255 else array("q", counts)
+    return AveragingResult("".join(recovered), counts), tuple(suspected)
 
 
 @st.composite
@@ -106,20 +110,20 @@ class TestAveragingAttack:
 
     def test_tie_votes_resolve_to_zero(self):
         result = averaging_attack([obs("01"), obs("10")])
-        assert result == AveragingResult(recovered_bits="00", disagreement_counts=(1, 1))
+        assert result == AveragingResult(recovered_bits="00", disagreement_counts=b"\1\1")
         assert result.suspected_indices == (0, 1)
 
     def test_majority_and_counts(self):
         result = averaging_attack([obs("111"), obs("101"), obs("110")])
         assert result.recovered_bits == "111"
         assert result.suspected_indices == (1, 2)
-        assert result.disagreement_counts == (0, 1, 1)
+        assert result.disagreement_counts == b"\0\1\1"
 
     def test_agreeing_copies_raise_no_suspicion(self):
         result = averaging_attack([obs("0110")] * 5)
         assert result.recovered_bits == "0110"
         assert result.suspected_indices == ()
-        assert result.disagreement_counts == (0, 0, 0, 0)
+        assert result.disagreement_counts == bytes(4)
 
     def test_validation(self):
         with pytest.raises(TooFewCopies):
@@ -128,6 +132,18 @@ class TestAveragingAttack:
             averaging_attack([obs("01"), obs("010")])
         with pytest.raises(BasisMismatch):
             averaging_attack([obs("01"), obs("01", basis=Basis(30.0))])
+
+    def test_four_copies_peak_within_8_mib_at_2_20_bits(self):
+        # a tuple of one count per position alone would take 8 MiB
+        rng = random.Random(35)
+        copies = [obs(format(rng.getrandbits(2**20), f"0{2**20}b")) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            averaging_attack(copies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_suspicion_never_leaves_the_index_set(self):
         plain = "0110" * 64

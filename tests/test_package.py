@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qumark
 
 # the package surface before it was built from the modules' own __all__
@@ -131,6 +133,19 @@ def test_import_leaves_the_command_line_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "set()"
+
+
+@pytest.mark.parametrize("module", ["qumark", "qumark.cli"])
+def test_import_loads_no_heavy_standard_module(module):
+    # every CLI run is a fresh interpreter that imports, and compiles, what it
+    # needs; -S keeps site's .pth hooks, which may import typing, out of the probe
+    src = str(Path(qumark.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    heavy = {"dataclasses", "typing", "inspect", "statistics", "hashlib"}
+    probe = f"import sys, {module}; print(sorted({heavy!r} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_the_readme_library_example_runs():

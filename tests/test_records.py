@@ -98,9 +98,9 @@ CASES = [
         ("error_count", "sample_size", "expected_pe", "decision_detail"),
     ),
     Case(
-        AveragingResult, ("recovered_bits", "disagreement_counts"), ("0110", (0, 1, 1, 0)), (),
-        ("0110", (0, 1, 0, 0)),
-        "AveragingResult(recovered_bits='0110', disagreement_counts=(0, 1, 1, 0))",
+        AveragingResult, ("recovered_bits", "disagreement_counts"), ("0110", b"\0\1\1\0"), (),
+        ("0110", b"\0\1\0\0"),
+        "AveragingResult(recovered_bits='0110', disagreement_counts=b'\\x00\\x01\\x01\\x00')",
         ("recovered_bits", "disagreement_counts"),
     ),
     Case(
